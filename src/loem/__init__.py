@@ -19,13 +19,18 @@ from .errors import (
 )
 from .estimation import (
     NOISE_MODELS,
+    STATUS_BOUNDARY,
+    STATUS_FAILED,
+    STATUS_OK,
     Estimate,
     SweepPoint,
     TrialConfig,
     TrialStatistics,
+    campaign_counts,
     error_bars,
     heisenberg_sweep,
     mle_closed_form,
+    mle_closed_form_batch,
     mle_grid,
     run_trials,
     sample_counts,
@@ -74,13 +79,18 @@ __all__ = [
     "LoemError",
     "SingularBoundError",
     "NOISE_MODELS",
+    "STATUS_BOUNDARY",
+    "STATUS_FAILED",
+    "STATUS_OK",
     "Estimate",
     "SweepPoint",
     "TrialConfig",
     "TrialStatistics",
+    "campaign_counts",
     "error_bars",
     "heisenberg_sweep",
     "mle_closed_form",
+    "mle_closed_form_batch",
     "mle_grid",
     "run_trials",
     "sample_counts",

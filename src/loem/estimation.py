@@ -4,6 +4,8 @@ Counts are drawn per four-port trial, (theta, phi) is recovered by the exact
 closed-form multinomial MLE (with an independent grid maximizer as oracle),
 and repeated campaigns produce M x MSE statistics, error bars, and
 Heisenberg-scaling sweeps with their Cramér-Rao and shot-noise references.
+A campaign works on arrays: an (R, 4) count array, a row-wise MLE and
+masked statistics, with no Python object per trial.
 """
 
 from __future__ import annotations
@@ -20,12 +22,17 @@ from .probes import antiparallel_qfim_closed, outcome_probabilities
 
 __all__ = [
     "NOISE_MODELS",
+    "STATUS_OK",
+    "STATUS_BOUNDARY",
+    "STATUS_FAILED",
     "TrialConfig",
     "Estimate",
     "TrialStatistics",
     "SweepPoint",
     "trial_rng",
     "sample_counts",
+    "campaign_counts",
+    "mle_closed_form_batch",
     "mle_closed_form",
     "mle_grid",
     "run_trials",
@@ -34,6 +41,11 @@ __all__ = [
 ]
 
 NOISE_MODELS = ("multinomial", "poisson")
+
+# Per-row status codes of mle_closed_form_batch, and the Estimate.status
+# string of each.
+STATUS_OK, STATUS_BOUNDARY, STATUS_FAILED = 0, 1, 2
+_STATUS_NAMES = ("ok", "boundary", "phi-unidentifiable")
 
 # Fraction of failed estimates beyond which a campaign is rejected as
 # degenerate.  Not applied at shots = 1, where every estimate is non-ok by
@@ -95,10 +107,9 @@ class TrialStatistics:
     quantities multiplied by the shot count M (dimensionless), which is the
     scale on which the Cramér-Rao references qcrb_theta / qcrb_phi live.
     se_* fields are standard errors of the corresponding m_times_* sample
-    statistics; err_theta / err_phi are Monte Carlo error-bar half-widths
-    (NaN until filled in by error_bars).  Statistics cover ok and boundary
-    estimates (n_ok + n_boundary of them); n_failed counts the excluded
-    phi-unidentifiable trials.
+    statistics.  Statistics cover ok and boundary estimates (n_ok +
+    n_boundary of them); n_failed counts the excluded phi-unidentifiable
+    trials.
     """
 
     mse_theta: float
@@ -115,8 +126,6 @@ class TrialStatistics:
     n_ok: int
     n_boundary: int
     n_failed: int
-    err_theta: float = float("nan")
-    err_phi: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,17 @@ def trial_rng(seed: int, trial_index: int, resample_index: int = 0) -> np.random
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
+def _sampling_distribution(probs: np.ndarray, shots: int) -> np.ndarray:
+    """Validated outcome distribution, clipped at zero and renormalised."""
+    probs = np.asarray(probs, dtype=float)
+    if np.min(probs) < -1e-12 or abs(probs.sum() - 1.0) > 1e-10:
+        raise ValueError(f"invalid outcome distribution: sum = {probs.sum()!r}")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    probs = np.maximum(probs, 0.0)
+    return probs / probs.sum()
+
+
 def sample_counts(
     probs: np.ndarray, shots: int, noise_model: str, rng: np.random.Generator
 ) -> np.ndarray:
@@ -149,13 +169,7 @@ def sample_counts(
     multinomial: counts sum to exactly ``shots``.  poisson: each port is an
     independent Poisson with mean shots * p_k, so the total fluctuates.
     """
-    probs = np.asarray(probs, dtype=float)
-    if np.min(probs) < -1e-12 or abs(probs.sum() - 1.0) > 1e-10:
-        raise ValueError(f"invalid outcome distribution: sum = {probs.sum()!r}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = np.maximum(probs, 0.0)
-    probs = probs / probs.sum()
+    probs = _sampling_distribution(probs, shots)
     if noise_model == "multinomial":
         return rng.multinomial(shots, probs)
     if noise_model == "poisson":
@@ -163,15 +177,82 @@ def sample_counts(
     raise ValueError(f"noise_model must be one of {NOISE_MODELS}")
 
 
-def _check_counts(counts: np.ndarray) -> np.ndarray:
+def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
+    """Per-port counts of every trial of a campaign, as a (repeats, 4) array.
+
+    Row t is exactly ``sample_counts(probs, shots, noise_model,
+    trial_rng(seed, t, resample_index))``.  Rather than build a generator
+    per trial, the campaign builds one and, before trial t, restores its
+    fresh state with the counter words set to (0, 0, t, resample_index),
+    the block trial_rng(seed, t, resample_index) starts at.
+    """
+    probs = _sampling_distribution(
+        outcome_probabilities(config.theta_true, config.phi_true, config.n_iter), config.shots
+    )
+    rng = trial_rng(config.seed, 0, resample_index)
+    bit_generator = rng.bit_generator
+    fresh = bit_generator.state
+    counter = fresh["state"]["counter"]
+    counts = np.empty((config.repeats, 4), dtype=np.int64)
+    if config.noise_model == "multinomial":
+        for trial in range(config.repeats):
+            counter[2] = trial
+            bit_generator.state = fresh
+            counts[trial] = rng.multinomial(config.shots, probs)
+    else:
+        # Four scalar draws consume the stream exactly as rng.poisson(means)
+        # does, at a third of its call overhead.
+        means = [float(m) for m in config.shots * probs]
+        for trial in range(config.repeats):
+            counter[2] = trial
+            bit_generator.state = fresh
+            counts[trial] = [rng.poisson(m) for m in means]
+    return counts
+
+
+def _check_counts(counts: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Non-negative finite counts: four with a positive total, or (R, 4) rows."""
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (4,):
-        raise ValueError("expected four per-port counts")
-    if np.min(counts) < 0 or not np.all(np.isfinite(counts)):
+    if counts.ndim != ndim or counts.shape[-1] != 4:
+        raise ValueError("expected four per-port counts" + (" per row" if ndim == 2 else ""))
+    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
         raise ValueError("counts must be non-negative and finite")
-    if counts.sum() <= 0:
+    if ndim == 1 and counts.sum() <= 0:
         raise ValueError("total count must be >= 1 for estimation")
     return counts
+
+
+def mle_closed_form_batch(
+    counts: np.ndarray, n_iter: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form MLE of every row of an (R, 4) count array.
+
+    Returns theta_hat, phi_hat and a status code per row: STATUS_OK,
+    STATUS_BOUNDARY (the constrained maximizer sits on an edge of the box,
+    as described in mle_closed_form) or STATUS_FAILED (n34 = 0, which
+    includes the zero-total rows Poisson noise can give).  Failed rows have
+    phi_hat = NaN, and theta_hat = NaN too when their total is zero.
+    """
+    counts = _check_counts(counts, ndim=2)
+    if n_iter < 1:
+        raise ValueError("n_iter must be >= 1")
+    n2, n3, n4 = counts[:, 1], counts[:, 2], counts[:, 3]
+    total = counts.sum(axis=1)
+    n34 = n3 + n4
+    limit = np.pi / (2 * n_iter)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_hat = (2.0 * n2 + n34) / (2.0 * total)
+        theta_hat = 2.0 * np.arcsin(np.sqrt(s_hat)) / n_iter
+        phi_hat = np.arctan(np.sqrt(n3 / n4)) / n_iter
+    # theta_hat up to 1e-12 above the limit is round-trip dust from arcsin at
+    # s_hat = 1/2: clipped, but not a boundary estimate.
+    pinned = (theta_hat > limit + 1e-12) | (n3 == 0) | (n4 == 0)
+    theta_hat = np.minimum(theta_hat, limit)
+    phi_hat = np.where(n3 == 0, 0.0, np.where(n4 == 0, limit, phi_hat))
+    failed = n34 == 0
+    phi_hat[failed] = np.nan
+    status = np.where(failed, STATUS_FAILED, np.where(pinned, STATUS_BOUNDARY, STATUS_OK))
+    return theta_hat, phi_hat, status
 
 
 def mle_closed_form(counts: np.ndarray, n_iter: int = 1) -> Estimate:
@@ -187,29 +268,8 @@ def mle_closed_form(counts: np.ndarray, n_iter: int = 1) -> Estimate:
     (n4 = 0), or theta_hat pinned to pi/(2N) (s_hat > 1/2).  Boundary
     estimates carry the constrained-MLE values and remain usable.
     """
-    counts = _check_counts(counts)
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    n1, n2, n3, n4 = counts
-    total = counts.sum()
-    n34 = n3 + n4
-    limit = np.pi / (2 * n_iter)
-    s_hat = (2.0 * n2 + n34) / (2.0 * total)
-    theta_hat = 2.0 * np.arcsin(np.sqrt(s_hat)) / n_iter
-    pinned = False
-    if theta_hat > limit + 1e-12:
-        theta_hat, pinned = limit, True
-    elif theta_hat > limit:
-        theta_hat = limit  # round-trip dust from arcsin at s_hat = 1/2
-    if n34 == 0:
-        return Estimate(float(theta_hat), float("nan"), "phi-unidentifiable")
-    if n3 == 0:
-        phi_hat, pinned = 0.0, True
-    elif n4 == 0:
-        phi_hat, pinned = limit, True
-    else:
-        phi_hat = np.arctan(np.sqrt(n3 / n4)) / n_iter
-    return Estimate(float(theta_hat), float(phi_hat), "boundary" if pinned else "ok")
+    theta_hat, phi_hat, status = mle_closed_form_batch(_check_counts(counts)[None, :], n_iter)
+    return Estimate(float(theta_hat[0]), float(phi_hat[0]), _STATUS_NAMES[status[0]])
 
 
 def _loglik_terms(count: float, prob: np.ndarray) -> np.ndarray:
@@ -294,7 +354,8 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
     """Run one campaign of repeated sampled estimates at the true parameters.
 
     Each of ``config.repeats`` trials draws counts from its own
-    (seed, trial, resample) substream and is estimated by mle_closed_form.
+    (seed, trial, resample) substream (campaign_counts) and is estimated by
+    the closed-form MLE (mle_closed_form_batch).
     phi-unidentifiable estimates carry no phase value and are excluded from
     the statistics and counted in n_failed; boundary estimates carry the
     constrained-MLE values and are kept (dropping them biases the MSE below
@@ -302,41 +363,23 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
     than 10% failures (for shots > 1, where failures signal degeneracy
     rather than quantization) raise DegenerateConfigurationError.
     """
-    probs = outcome_probabilities(config.theta_true, config.phi_true, config.n_iter)
-    thetas, phis = [], []
-    n_ok = n_boundary = n_failed = 0
-    for trial in range(config.repeats):
-        rng = trial_rng(config.seed, trial, resample_index)
-        counts = sample_counts(probs, config.shots, config.noise_model, rng)
-        if counts.sum() == 0:  # possible under poisson noise at tiny shot counts
-            n_failed += 1
-            continue
-        estimate = mle_closed_form(counts, config.n_iter)
-        if estimate.status == "phi-unidentifiable":
-            n_failed += 1
-            continue
-        if estimate.status == "boundary":
-            n_boundary += 1
-        else:
-            n_ok += 1
-        thetas.append(estimate.theta_hat)
-        phis.append(estimate.phi_hat)
+    counts = campaign_counts(config, resample_index)
+    thetas, phis, status = mle_closed_form_batch(counts, config.n_iter)
+    n_failed = int(np.count_nonzero(status == STATUS_FAILED))
     if config.shots > 1 and n_failed > _MAX_FAILURE_FRACTION * config.repeats:
         raise DegenerateConfigurationError(
             f"{n_failed}/{config.repeats} estimates failed; true theta = "
             f"{config.theta_true!r} is too close to a sin(N theta) = 0 zero for N = {config.n_iter}"
         )
-    return _statistics(np.asarray(thetas), np.asarray(phis), n_ok, n_boundary, n_failed, config)
+    return _statistics(thetas, phis, status, config)
 
 
 def _statistics(
-    thetas: np.ndarray,
-    phis: np.ndarray,
-    n_ok: int,
-    n_boundary: int,
-    n_failed: int,
-    config: TrialConfig,
+    thetas: np.ndarray, phis: np.ndarray, status: np.ndarray, config: TrialConfig
 ) -> TrialStatistics:
+    """Campaign statistics over the rows whose status is not STATUS_FAILED."""
+    kept = status != STATUS_FAILED
+    thetas, phis = thetas[kept], phis[kept]
     shots = float(config.shots)
     n = thetas.size
     nan = float("nan")
@@ -380,9 +423,9 @@ def _statistics(
         se_m_covariance=se_c,
         qcrb_theta=qcrb_theta,
         qcrb_phi=qcrb_phi,
-        n_ok=int(n_ok),
-        n_boundary=int(n_boundary),
-        n_failed=int(n_failed),
+        n_ok=int(np.count_nonzero(status == STATUS_OK)),
+        n_boundary=int(np.count_nonzero(status == STATUS_BOUNDARY)),
+        n_failed=int(np.count_nonzero(~kept)),
     )
 
 

@@ -54,6 +54,44 @@ FAST_SIMULATE = [
 ]
 
 
+GOLDEN_SIMULATE_ARGS = [
+    "simulate",
+    "--theta-deg",
+    "25",
+    "70",
+    "--phi-deg",
+    "36",
+    "--shots",
+    "500",
+    "--repeats",
+    "40",
+    "--seed",
+    "7",
+    "--resamples",
+    "0",
+]
+# Outputs of GOLDEN_SIMULATE_ARGS under each noise model, recorded with the
+# per-trial campaign loop that the array engine replaced.
+GOLDEN_SIMULATE_CSV = {
+    "multinomial": (
+        "theta_deg,phi_deg,n,shots,repeats,m_mse_theta,m_mse_phi,cov_m,qcrb_theta,qcrb_phi,"
+        "err_theta,err_phi,n_failed\n"
+        "25.0,36.0,1,500,40,0.6403829592328204,3.31062444169239,0.022789603259028245,0.5,"
+        "2.799454966056695,nan,nan,0\n"
+        "70.0,36.0,1,500,40,0.4531738794524908,0.7862613556934271,0.02094497167569911,0.5,"
+        "0.5662371657158972,nan,nan,0\n"
+    ),
+    "poisson": (
+        "theta_deg,phi_deg,n,shots,repeats,m_mse_theta,m_mse_phi,cov_m,qcrb_theta,qcrb_phi,"
+        "err_theta,err_phi,n_failed\n"
+        "25.0,36.0,1,500,40,0.498187125076637,1.7625060616184174,0.045032592709222385,0.5,"
+        "2.799454966056695,nan,nan,0\n"
+        "70.0,36.0,1,500,40,0.5015283752590757,0.547048390657079,-0.09644284554721991,0.5,"
+        "0.5662371657158972,nan,nan,0\n"
+    ),
+}
+
+
 class TestParseArgs:
     def test_simulate_reference_invocation(self):
         config = parse_args(SIMULATE_ARGS)
@@ -216,6 +254,12 @@ class TestTables:
             assert list(c_row) == list(j_row)
             for key in j_row:
                 assert float(c_row[key]) == float(j_row[key])
+
+    @pytest.mark.parametrize("noise", sorted(GOLDEN_SIMULATE_CSV))
+    def test_simulate_golden_csv(self, tmp_path, noise):
+        out = tmp_path / "golden.csv"
+        assert main(GOLDEN_SIMULATE_ARGS + ["--noise", noise, "--output", str(out)]) == EXIT_OK
+        assert out.read_text() == GOLDEN_SIMULATE_CSV[noise]
 
     def test_default_simulate_layout(self, tmp_path):
         out = tmp_path / "sweep.csv"

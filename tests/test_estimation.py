@@ -3,18 +3,26 @@
 import numpy as np
 import pytest
 
+import loem.estimation
 from loem import (
+    STATUS_BOUNDARY,
+    STATUS_FAILED,
+    STATUS_OK,
     DegenerateConfigurationError,
     TrialConfig,
+    campaign_counts,
     error_bars,
     heisenberg_sweep,
     mle_closed_form,
+    mle_closed_form_batch,
     mle_grid,
     outcome_probabilities,
     run_trials,
     sample_counts,
     trial_rng,
 )
+
+STATUS_CODES = {"ok": STATUS_OK, "boundary": STATUS_BOUNDARY, "phi-unidentifiable": STATUS_FAILED}
 
 
 def loglik(counts, theta, phi, n_iter):
@@ -76,6 +84,105 @@ class TestSampleCounts:
     def test_unknown_noise_model_rejected(self):
         with pytest.raises(ValueError):
             sample_counts(np.full(4, 0.25), 10, "gaussian", trial_rng(0, 0))
+
+
+# (theta_deg, phi_deg, n_iter, shots, repeats, seed, noise_model, resample_index)
+CAMPAIGNS = [
+    (40.0, 36.0, 1, 10**4, 60, 5, "multinomial", 0),
+    (40.0, 36.0, 1, 10**4, 60, 5, "poisson", 0),
+    (45.0, 30.0, 1, 1, 60, 3, "multinomial", 0),
+    (45.0, 30.0, 1, 1, 60, 3, "poisson", 0),  # about a third of the totals are zero
+    (12.0, 25.0, 3, 500, 40, 11, "multinomial", 0),
+    (70.0, 10.0, 1, 2000, 40, 7, "multinomial", 3),
+    (35.0, 10.0, 2, 200, 40, 7, "poisson", 5),
+]
+
+
+def campaign_config(case):
+    theta_deg, phi_deg, n_iter, shots, repeats, seed, noise_model, _ = case
+    return TrialConfig(np.radians(theta_deg), np.radians(phi_deg), n_iter, shots, repeats, seed, noise_model)
+
+
+class TestCampaignCounts:
+    @pytest.mark.parametrize("case", CAMPAIGNS)
+    def test_rows_match_per_trial_substreams(self, case):
+        config, resample = campaign_config(case), case[-1]
+        counts = campaign_counts(config, resample)
+        assert counts.shape == (config.repeats, 4)
+        probs = outcome_probabilities(config.theta_true, config.phi_true, config.n_iter)
+        for trial, row in enumerate(counts):
+            rng = trial_rng(config.seed, trial, resample)
+            expected = sample_counts(probs, config.shots, config.noise_model, rng)
+            assert np.array_equal(row, expected), trial
+
+    def test_poisson_zero_totals_drawn(self):
+        counts = campaign_counts(campaign_config(CAMPAIGNS[3]))
+        assert np.any(counts.sum(axis=1) == 0)
+
+    def test_one_generator_per_campaign(self, monkeypatch):
+        calls = []
+
+        def counting_rng(*key):
+            calls.append(key)
+            return trial_rng(*key)
+
+        monkeypatch.setattr(loem.estimation, "trial_rng", counting_rng)
+        campaign_counts(campaign_config(CAMPAIGNS[5]), 3)
+        assert calls == [(7, 0, 3)]
+
+
+class TestMleClosedFormBatch:
+    EDGE_ROWS = [
+        [800, 100, 0, 100],  # n3 = 0: phi pinned to 0
+        [800, 100, 100, 0],  # n4 = 0: phi pinned to pi/(2N)
+        [500, 20, 0, 0],  # n34 = 0: phi unidentifiable
+        [0, 900, 50, 50],  # s_hat > 1/2: theta pinned to pi/(2N)
+        [0, 0, 3, 0],
+        [1, 0, 0, 0],
+    ]
+
+    @pytest.mark.parametrize("n_iter", [1, 3])
+    def test_matches_grid_oracle(self, n_iter):
+        rng = np.random.default_rng(23)
+        rows = [sampled_counts_all_ports_positive(rng, n_iter) for _ in range(8)]
+        rows += [rng.integers(0, 6, size=4) for _ in range(12)] + self.EDGE_ROWS
+        counts = np.array([r for r in rows if np.sum(r) > 0])
+        thetas, phis, status = mle_closed_form_batch(counts, n_iter)
+        tol = 2 * (np.pi / (2 * n_iter)) / 128
+        for row, theta, phi, code in zip(counts, thetas, phis, status):
+            grid = mle_grid(row, n_iter, resolution=128)
+            assert code == STATUS_CODES[grid.status], row
+            assert abs(theta - grid.theta_hat) < tol, row
+            if code == STATUS_FAILED:
+                assert np.isnan(phi) and np.isnan(grid.phi_hat)
+            else:
+                assert abs(phi - grid.phi_hat) < tol, row
+
+    def test_edge_row_statuses(self):
+        _, phis, status = mle_closed_form_batch(np.array(self.EDGE_ROWS[:4]), 2)
+        assert list(status) == [STATUS_BOUNDARY, STATUS_BOUNDARY, STATUS_FAILED, STATUS_BOUNDARY]
+        assert phis[0] == 0.0 and phis[1] == np.pi / 4 and np.isnan(phis[2])
+
+    def test_zero_total_row_fails(self):
+        thetas, phis, status = mle_closed_form_batch(np.array([[0, 0, 0, 0], [10, 10, 10, 10]]))
+        assert list(status) == [STATUS_FAILED, STATUS_OK]
+        assert np.isnan(thetas[0]) and np.isnan(phis[0])
+
+    def test_scalar_wrapper_agrees_row_by_row(self):
+        counts = np.random.default_rng(24).integers(0, 40, size=(30, 4))
+        counts = counts[counts[:, 2:].sum(axis=1) > 0]
+        thetas, phis, status = mle_closed_form_batch(counts, 2)
+        for row, theta, phi, code in zip(counts, thetas, phis, status):
+            est = mle_closed_form(row, 2)
+            assert (est.theta_hat, est.phi_hat, STATUS_CODES[est.status]) == (theta, phi, code)
+
+    def test_invalid_counts_rejected(self):
+        with pytest.raises(ValueError):
+            mle_closed_form_batch(np.array([1, 2, 3, 4]))
+        with pytest.raises(ValueError):
+            mle_closed_form_batch(np.array([[1, 2, 3, -4]]))
+        with pytest.raises(ValueError):
+            mle_closed_form_batch(np.array([[1, 2, 3, 4]]), n_iter=0)
 
 
 class TestMleClosedForm:
@@ -214,6 +321,33 @@ class TestRunTrials:
         config = TrialConfig(1e-4, np.radians(30.0), 1, shots=100, repeats=50, seed=4)
         with pytest.raises(DegenerateConfigurationError):
             run_trials(config)
+
+    @pytest.mark.parametrize("case", [CAMPAIGNS[i] for i in (0, 1, 3, 4, 6)])
+    def test_matches_per_trial_loop(self, case):
+        # reference: one generator, one sample_counts and one scalar MLE per trial
+        config, resample = campaign_config(case), case[-1]
+        probs = outcome_probabilities(config.theta_true, config.phi_true, config.n_iter)
+        thetas, phis, statuses = [], [], []
+        for trial in range(config.repeats):
+            rng = trial_rng(config.seed, trial, resample)
+            counts = sample_counts(probs, config.shots, config.noise_model, rng)
+            if counts.sum() == 0:
+                statuses.append("phi-unidentifiable")
+                continue
+            est = mle_closed_form(counts, config.n_iter)
+            statuses.append(est.status)
+            if est.status != "phi-unidentifiable":
+                thetas.append(est.theta_hat)
+                phis.append(est.phi_hat)
+        stats = run_trials(config, resample)
+        assert (stats.n_ok, stats.n_boundary, stats.n_failed) == tuple(
+            statuses.count(s) for s in ("ok", "boundary", "phi-unidentifiable")
+        )
+        thetas, phis = np.array(thetas), np.array(phis)
+        assert stats.mse_theta == np.mean((thetas - config.theta_true) ** 2)
+        assert stats.mse_phi == np.mean((phis - config.phi_true) ** 2)
+        dt, dp = thetas - thetas.mean(), phis - phis.mean()
+        assert stats.covariance == (dt * dp).sum() / (thetas.size - 1)
 
     def test_bit_identical_statistics(self):
         config = TrialConfig(np.radians(40.0), np.radians(36.0), 1, 2000, 100, seed=5)
