@@ -433,8 +433,9 @@ def error_bars(config: TrialConfig, resamples: int = 100) -> tuple[float, float]
     """Monte Carlo error bars for the M x MSE values of a campaign.
 
     Runs ``resamples`` independent Poisson-noise repetitions of the campaign
-    with seeds derived from config.seed + resample index and returns the
-    standard deviation of M x MSE for theta and phi.
+    and returns the standard deviation of M x MSE for theta and phi.
+    Repetition r draws trial t from substream (config.seed, t, r + 1);
+    resample index 0 is the main campaign.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
@@ -442,7 +443,7 @@ def error_bars(config: TrialConfig, resamples: int = 100) -> tuple[float, float]
     m_mse_theta = np.empty(resamples)
     m_mse_phi = np.empty(resamples)
     for r in range(resamples):
-        stats = run_trials(dataclasses.replace(base, seed=config.seed + 1 + r))
+        stats = run_trials(base, resample_index=1 + r)
         m_mse_theta[r] = stats.m_times_mse_theta
         m_mse_phi[r] = stats.m_times_mse_phi
     return float(np.std(m_mse_theta, ddof=1)), float(np.std(m_mse_phi, ddof=1))

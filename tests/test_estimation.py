@@ -403,6 +403,23 @@ class TestErrorBars:
         config = TrialConfig(np.radians(40.0), np.radians(36.0), 1, 1000, 50, seed=7)
         assert error_bars(config, resamples=5) == error_bars(config, resamples=5)
 
+    def test_adjacent_seeds_share_no_resample_campaign(self, monkeypatch):
+        keys = []
+
+        def recording_rng(seed, trial_index, resample_index=0):
+            keys.append((seed, resample_index))
+            return trial_rng(seed, trial_index, resample_index)
+
+        monkeypatch.setattr(loem.estimation, "trial_rng", recording_rng)
+        campaigns = {}
+        for seed in (7, 8):
+            keys.clear()
+            error_bars(TrialConfig(np.radians(40.0), np.radians(36.0), 1, 500, 20, seed), resamples=5)
+            campaigns[seed] = set(keys)
+            assert len(campaigns[seed]) == 5
+            assert (seed, 0) not in campaigns[seed]  # the main campaign's substreams
+        assert not campaigns[7] & campaigns[8]
+
     def test_two_resample_smoke(self):
         config = TrialConfig(np.radians(40.0), np.radians(36.0), 1, 500, 20, seed=8)
         err_theta, err_phi = error_bars(config, resamples=2)
