@@ -107,13 +107,28 @@ def _add_output_options(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
 
-def _add_campaign_options(sub, default_seed: int):
+def _seed(text: str) -> int:
+    """A Philox key: an integer in [0, 2**128)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**128) (default from LOEM_SEED), got {text!r}"
+        )
+    return value
+
+
+def _add_campaign_options(sub, default_seed: str):
     sub.add_argument("--shots", type=int, default=10000, help="counts per estimate (M)")
     sub.add_argument("--repeats", type=int, default=400, help="estimates per statistic")
-    sub.add_argument("--seed", type=int, default=default_seed, help="RNG seed (env LOEM_SEED)")
+    # argparse applies type to a string default, so LOEM_SEED is checked
+    # only by commands that take a seed and only when --seed is absent.
+    sub.add_argument("--seed", type=_seed, default=default_seed, help="RNG seed (env LOEM_SEED)")
 
 
-def _build_parser(default_seed: int) -> _Parser:
+def _build_parser(default_seed: str) -> _Parser:
     parser = _Parser(prog="loem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -178,8 +193,7 @@ def parse_args(argv: list[str]) -> RunConfig:
 
     Raises UsageError on malformed input or constraint violations.
     """
-    default_seed = int(os.environ.get("LOEM_SEED", "0"))
-    args = _build_parser(default_seed).parse_args(argv)
+    args = _build_parser(os.environ.get("LOEM_SEED", "0")).parse_args(argv)
 
     command = args.command
     config = RunConfig(command=command)
@@ -217,8 +231,6 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"--shots must be >= 1, got {args.shots}")
         if args.repeats < 2:
             raise UsageError(f"--repeats must be >= 2, got {args.repeats}")
-        if args.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         if args.resamples < 0:
             raise UsageError(f"--resamples must be >= 0, got {args.resamples}")
         config = dataclasses.replace(
@@ -244,8 +256,6 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"--shots must be >= 1, got {args.shots}")
         if args.repeats < 2:
             raise UsageError(f"--repeats must be >= 2, got {args.repeats}")
-        if args.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         config = dataclasses.replace(
             config,
             theta_deg=(args.theta_deg,),

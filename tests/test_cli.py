@@ -162,6 +162,9 @@ class TestParseArgs:
         config = parse_args(["simulate", "--phi-deg", "36", "--seed", "9"])
         assert config.seed == 9
 
+    def test_largest_seed_accepted(self):
+        assert parse_args(["simulate", "--phi-deg", "36", "--seed", str(2**128 - 1)]).seed == 2**128 - 1
+
 
 class TestSingleResultCommands:
     def test_probs_output(self, capsys):
@@ -287,6 +290,19 @@ class TestExitCodes:
     def test_usage_error_exit_one(self, capsys):
         assert main(["simulate", "--theta-deg", "95", "--n", "1"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_seed_env_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("LOEM_SEED", "abc")
+        assert main(["simulate", "--theta-deg", "40", "--phi-deg", "36"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "LOEM_SEED" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "heisenberg"])
+    def test_seed_beyond_philox_key_exit_one(self, capsys, command):
+        args = [command, "--theta-deg", "40", "--phi-deg", "36", "--seed", str(2**128)]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2**128" in err and err.count("\n") == 1
 
     def test_numerical_degeneracy_exit_two(self, capsys):
         args = [
