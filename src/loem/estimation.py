@@ -193,20 +193,18 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
     bit_generator = rng.bit_generator
     fresh = bit_generator.state
     counter = fresh["state"]["counter"]
-    counts = np.empty((config.repeats, 4), dtype=np.int64)
     if config.noise_model == "multinomial":
-        for trial in range(config.repeats):
-            counter[2] = trial
-            bit_generator.state = fresh
-            counts[trial] = rng.multinomial(config.shots, probs)
+        draw = lambda: rng.multinomial(config.shots, probs)  # noqa: E731
     else:
         # Four scalar draws consume the stream exactly as rng.poisson(means)
         # does, at a third of its call overhead.
         means = [float(m) for m in config.shots * probs]
-        for trial in range(config.repeats):
-            counter[2] = trial
-            bit_generator.state = fresh
-            counts[trial] = [rng.poisson(m) for m in means]
+        draw = lambda: [rng.poisson(m) for m in means]  # noqa: E731
+    counts = np.empty((config.repeats, 4), dtype=np.int64)
+    for trial in range(config.repeats):
+        counter[2] = trial
+        bit_generator.state = fresh
+        counts[trial] = draw()
     return counts
 
 
