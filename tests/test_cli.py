@@ -163,7 +163,8 @@ class TestParseArgs:
         assert config.seed == 9
 
     def test_largest_seed_accepted(self):
-        assert parse_args(["simulate", "--phi-deg", "36", "--seed", str(2**128 - 1)]).seed == 2**128 - 1
+        config = parse_args(["simulate", "--phi-deg", "36", "--seed", str(2**128 - 1)])
+        assert config.seed == 2**128 - 1
 
 
 class TestSingleResultCommands:

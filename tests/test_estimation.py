@@ -100,7 +100,8 @@ CAMPAIGNS = [
 
 def campaign_config(case):
     theta_deg, phi_deg, n_iter, shots, repeats, seed, noise_model, _ = case
-    return TrialConfig(np.radians(theta_deg), np.radians(phi_deg), n_iter, shots, repeats, seed, noise_model)
+    theta, phi = np.radians(theta_deg), np.radians(phi_deg)
+    return TrialConfig(theta, phi, n_iter, shots, repeats, seed, noise_model)
 
 
 class TestCampaignCounts:
@@ -409,7 +410,8 @@ class TestErrorBars:
         campaigns = {}
         for seed in (7, 8):
             keys.clear()
-            error_bars(TrialConfig(np.radians(40.0), np.radians(36.0), 1, 500, 20, seed), resamples=5)
+            config = TrialConfig(np.radians(40.0), np.radians(36.0), 1, 500, 20, seed)
+            error_bars(config, resamples=5)
             campaigns[seed] = set(keys)
             assert len(campaigns[seed]) == 5
             assert (seed, 0) not in campaigns[seed]  # the main campaign's substreams
