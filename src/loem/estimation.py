@@ -194,12 +194,12 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
     fresh = bit_generator.state
     counter = fresh["state"]["counter"]
     if config.noise_model == "multinomial":
-        draw = lambda: rng.multinomial(config.shots, probs)  # noqa: E731
+        draw = lambda: rng.multinomial(config.shots, probs)
     else:
         # Four scalar draws consume the stream exactly as rng.poisson(means)
         # does, at a third of its call overhead.
         means = [float(m) for m in config.shots * probs]
-        draw = lambda: [rng.poisson(m) for m in means]  # noqa: E731
+        draw = lambda: [rng.poisson(m) for m in means]
     counts = np.empty((config.repeats, 4), dtype=np.int64)
     for trial in range(config.repeats):
         counter[2] = trial
