@@ -73,21 +73,22 @@ class TrialConfig:
 
     def __post_init__(self):
         if self.n_iter < 1:
-            raise ValueError("n_iter must be >= 1")
+            raise ValueError(f"n_iter must be >= 1, got {self.n_iter!r}")
         limit = np.pi / (2 * self.n_iter)
         for name, value in (("theta_true", self.theta_true), ("phi_true", self.phi_true)):
             if not 0.0 <= value < limit:
                 raise ValueError(
-                    f"{name} = {value!r} violates 0 <= angle < pi/(2N) = {limit!r} for N = {self.n_iter}"
+                    f"{name} = {float(value)!r} rad ({np.degrees(value):g} deg) violates "
+                    f"0 <= angle < pi/(2N) = {limit!r} rad ({np.degrees(limit):g} deg) for N = {self.n_iter}"
                 )
         if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+            raise ValueError(f"shots must be >= 1, got {self.shots!r}")
         if self.repeats < 2:
-            raise ValueError("repeats must be >= 2")
+            raise ValueError(f"repeats must be >= 2, got {self.repeats!r}")
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.noise_model not in NOISE_MODELS:
-            raise ValueError(f"noise_model must be one of {NOISE_MODELS}")
+            raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
 
 
 @dataclass(frozen=True)
@@ -461,19 +462,14 @@ def heisenberg_sweep(
     The shot-noise reference treats N iterations as N independent single-pass
     uses: M x MSE_SNL(theta) = 1/(2N), M x MSE_SNL(phi) = 1/(2N sin^2(N theta)).
     """
-    for n in n_list:
-        limit = np.pi / (2 * n)
-        if not (0.0 <= theta < limit and 0.0 <= phi < limit):
-            raise ValueError(
-                f"angles (theta={theta!r}, phi={phi!r}) violate 0 <= angle < pi/(2N) "
-                f"= {limit!r} for N = {n}"
-            )
+    # Every TrialConfig is built, and so validated, before any campaign runs.
+    configs = [TrialConfig(theta, phi, int(n), shots, repeats, seed, noise_model) for n in n_list]
     points = []
-    for n in n_list:
-        config = TrialConfig(theta, phi, int(n), shots, repeats, seed, noise_model)
+    for config in configs:
+        n = config.n_iter
         stats = run_trials(config)
         sin_sq = float(np.sin(n * theta) ** 2)
         snl_theta = 1.0 / (2.0 * n)
         snl_phi = 1.0 / (2.0 * n * sin_sq) if sin_sq > 0 else float("inf")
-        points.append(SweepPoint(n_iter=int(n), stats=stats, snl_theta=snl_theta, snl_phi=snl_phi))
+        points.append(SweepPoint(n_iter=n, stats=stats, snl_theta=snl_theta, snl_phi=snl_phi))
     return points

@@ -30,10 +30,6 @@ _PROB_FLOOR = 1e-12
 # ...unless their derivative exceeds this, which makes the term divergent.
 _DERIV_FLOOR = 1e-9
 
-# Dimension above which SLD operators are applied without materializing the
-# d x d matrix (same operator, O(d) memory).
-_SLD_DENSE_LIMIT = 2048
-
 
 def _check_pair(state: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state = np.asarray(state, dtype=complex)
@@ -83,10 +79,7 @@ def uhlmann_curvature(
     """
     state, jac = _check_pair(state, jac)
     m = jac.shape[1]
-    if state.shape[0] <= _SLD_DENSE_LIMIT:
-        applied = [sld_pure(state, jac[:, i]) @ state for i in range(m)]
-    else:
-        applied = [_sld_applied(state, jac[:, i]) for i in range(m)]
+    applied = [_sld_applied(state, jac[:, i]) for i in range(m)]
     curv = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
@@ -106,8 +99,8 @@ def uhlmann_curvature(
 
 def wcc_holds(curv: np.ndarray, tol: float) -> bool:
     """True iff every curvature entry is below tol in magnitude."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     curv = np.asarray(curv, dtype=float)
     return bool(np.max(np.abs(curv)) < tol) if curv.size else True
 

@@ -1,10 +1,17 @@
 """Tests for argument parsing, table schemas, and CLI reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loem.cli
 
 from loem.cli import (
     EXIT_IO,
@@ -96,7 +103,7 @@ class TestParseArgs:
     def test_simulate_reference_invocation(self):
         config = parse_args(SIMULATE_ARGS)
         assert config.command == "simulate"
-        assert config.theta_deg == (40.0,)
+        assert tuple(config.theta_deg) == (40.0,)
         assert config.phi_deg == 36.0
         assert config.shots == 10000
         assert config.repeats == 400
@@ -132,13 +139,13 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["simulate", "--theta-deg", "95", "--n", "1"])
 
-    def test_angle_constraint_quoted(self):
-        with pytest.raises(UsageError, match=r"0 <= angle < pi/\(2N\)"):
-            parse_args(["simulate", "--theta-deg", "95", "--phi-deg", "36", "--n", "1"])
+    def test_angle_constraint_quoted(self, capsys):
+        assert main(["simulate", "--theta-deg", "95", "--phi-deg", "36", "--n", "1"]) == EXIT_USAGE
+        assert "0 <= angle < pi/(2N)" in capsys.readouterr().err
 
-    def test_heisenberg_constraint_names_offending_n(self):
-        with pytest.raises(UsageError, match="N = 2"):
-            parse_args(["heisenberg", "--theta-deg", "50", "--phi-deg", "8.5", "--n-max", "4"])
+    def test_heisenberg_constraint_names_offending_n(self, capsys):
+        assert main(["heisenberg", "--theta-deg", "50", "--phi-deg", "8.5", "--n-max", "4"]) == EXIT_USAGE
+        assert "N = 2" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(UsageError):
@@ -287,7 +294,43 @@ class TestTables:
         assert [float(r.split(",")[0]) for r in rows] == [10.0, 25.0, 40.0, 55.0, 70.0, 85.0]
 
 
+def one_error_line(err: str) -> bool:
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+# Non-finite angles and values outside the ranges the library (or, for
+# CLI-only options, the parser) accepts: each must exit 1 with one error line.
+REJECTED_VALUES = [
+    ["probs", "--theta-deg", "nan", "--phi-deg", "10"],
+    ["qfim", "--theta-deg", "inf", "--phi-deg", "10"],
+    ["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"],
+    ["qfim", "--family", "single", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"],
+    ["surface", "--n", "0"],
+    ["simulate", "--phi-deg", "36", "--n", "0"],
+    ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", "0"],
+    ["surface", "--resolution", "1"],
+    ["simulate", "--phi-deg", "36", "--resamples", "-1"],
+    ["simulate", "--phi-deg", "36", "--shots", "0"],
+    ["simulate", "--phi-deg", "36", "--repeats", "1"],
+    ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "0"],
+    ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"],
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("args", REJECTED_VALUES, ids=" ".join)
+    def test_rejected_value_exit_one(self, capsys, args):
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and one_error_line(captured.err)
+
+    def test_out_of_range_row_runs_no_campaign(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(loem.cli, "run_trials", lambda *a, **k: calls.append(a))
+        assert main(["simulate", "--theta-deg", "10", "95", "--phi-deg", "36"]) == EXIT_USAGE
+        assert calls == []
+        assert one_error_line(capsys.readouterr().err)
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["simulate", "--theta-deg", "95", "--n", "1"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -328,3 +371,33 @@ class TestExitCodes:
         out = tmp_path / "missing" / "deep" / "out.csv"
         assert main(["surface", "--resolution", "4", "--output", str(out)]) == EXIT_IO
         assert "error:" in capsys.readouterr().err
+
+
+class TestCliBoundary:
+    """Any angle, N and family: a result with exit 0, or one error line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["probs", "qfim", "wcc"]),
+        family=st.sampled_from(["antiparallel", "single", "parallel"]),
+        theta=st.floats(allow_nan=True, allow_infinity=True),
+        phi=st.floats(allow_nan=True, allow_infinity=True),
+        n=st.integers(-2, 12),
+    )
+    def test_exit_code_and_stderr(self, command, family, theta, phi, n):
+        # "--flag=value" keeps argparse from reading "-inf" or "-1e-05" as a flag.
+        args = [command, f"--theta-deg={theta!r}", f"--phi-deg={phi!r}", f"--n={n}"]
+        if command != "probs":
+            args.append(f"--family={family}")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+        stderr = err.getvalue() + "".join(f"{w.message}\n" for w in caught)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
+        if code == EXIT_OK:
+            assert stderr == "" and out.getvalue()
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+        else:
+            assert one_error_line(stderr) and out.getvalue() == ""

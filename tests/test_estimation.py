@@ -452,3 +452,10 @@ class TestHeisenbergSweep:
     def test_constraint_violation_names_n(self):
         with pytest.raises(ValueError, match="N = 11"):
             heisenberg_sweep(np.radians(8.5), np.radians(8.5), list(range(1, 12)), 100, 10, seed=0)
+
+    def test_out_of_range_last_n_runs_no_campaign(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="N = 11"):
+            heisenberg_sweep(np.radians(8.5), np.radians(8.5), list(range(1, 12)), 100, 10, seed=0)
+        assert calls == []

@@ -130,6 +130,19 @@ class TestSld:
 
 
 class TestUhlmannCurvature:
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_dense_sld_commutator(self, dim):
+        # Oracle: (i/4)<psi|[L_i, L_j]|psi> with the d x d SLD matrices.
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(5):
+            psi = random_state(rng, dim)
+            jac = tangent_jacobian(rng, psi, 3)
+            slds = [sld_pure(psi, jac[:, i]) for i in range(3)]
+            dense = np.array(
+                [[np.real(0.25j * np.vdot(psi, (a @ b - b @ a) @ psi)) for b in slds] for a in slds]
+            )
+            assert np.max(np.abs(uhlmann_curvature(psi, jac) - dense)) < 1e-12
+
     def test_antisymmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(8)
         psi = random_state(rng, 4)
