@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 usage error, 2 numerical degeneracy, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -112,6 +112,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _resamples(text: str) -> int:
+    """0 skips the error bars; error_bars needs at least 2 resamples."""
+    value = _int_at_least(0)(text)
+    if value == 1:
+        raise argparse.ArgumentTypeError("must be 0 (skip) or >= 2, got 1")
+    return value
+
+
 def _add_angle_options(sub):
     sub.add_argument("--theta-deg", type=_finite, required=True, help="polar angle in degrees")
     sub.add_argument("--phi-deg", type=_finite, required=True, help="azimuthal angle in degrees")
@@ -175,7 +183,7 @@ def _parser() -> _Parser:
     _add_campaign_options(p)
     p.add_argument("--noise", choices=NOISE_MODELS, default="multinomial")
     p.add_argument(
-        "--resamples", type=_int_at_least(0), default=100, help="Monte Carlo error-bar samples (0 = skip)"
+        "--resamples", type=_resamples, default=100, help="Monte Carlo error-bar samples (0 = skip, else >= 2)"
     )
     _add_output_options(p)
 
@@ -204,29 +212,20 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip representation
-    return str(value)
+def _json_value(value):
+    # RFC 8259 JSON has no NaN or Infinity; CSV keeps repr's "nan" and "inf".
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _render_table(rows: list[dict], columns: list[str], fmt: str) -> str:
+def _write_table(handle, columns: list[str], rows: list[list], fmt: str):
+    """Write rows of Python values, in ``columns`` order, as CSV or JSON."""
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
-    return buffer.getvalue()
-
-
-def _emit(text: str, output: str | None):
-    if output is None:
-        sys.stdout.write(text)
+        json.dump([{c: _json_value(v) for c, v in zip(columns, row)} for row in rows], handle, indent=2)
+        handle.write("\n")
     else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        writer = csv.writer(handle, lineterminator="\n")  # floats as repr: shortest round trip
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _state_and_jacobian(args) -> tuple[np.ndarray, np.ndarray]:
@@ -255,27 +254,14 @@ def _run_wcc(args) -> str:
     )
 
 
-def _run_surface(args) -> str:
+def _run_surface(args) -> list[list]:
     angles = np.linspace(0.0, 360.0, args.resolution, endpoint=False)
-    rows = []
-    for theta_deg in angles:
-        theta = math.radians(theta_deg)
-        for phi_deg in angles:
-            p = outcome_probabilities(theta, math.radians(phi_deg), args.n)
-            rows.append(
-                {
-                    "theta_deg": float(theta_deg),
-                    "phi_deg": float(phi_deg),
-                    "p1": float(p[0]),
-                    "p2": float(p[1]),
-                    "p3": float(p[2]),
-                    "p4": float(p[3]),
-                }
-            )
-    return _render_table(rows, SURFACE_COLUMNS, args.format)
+    theta_deg, phi_deg = np.meshgrid(angles, angles, indexing="ij")
+    probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), args.n)
+    return np.column_stack([theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]).tolist()
 
 
-def _run_simulate(args) -> str:
+def _run_simulate(args) -> list[list]:
     # Every row's TrialConfig is built, and so validated, before any campaign runs.
     trials = [
         TrialConfig(
@@ -292,31 +278,28 @@ def _run_simulate(args) -> str:
     rows = []
     for theta_deg, trial in zip(args.theta_deg, trials):
         stats = run_trials(trial)
-        if args.resamples >= 2:
-            err_theta, err_phi = error_bars(trial, args.resamples)
-        else:
-            err_theta = err_phi = float("nan")
+        err_theta, err_phi = error_bars(trial, args.resamples) if args.resamples else (math.nan, math.nan)
         rows.append(
-            {
-                "theta_deg": float(theta_deg),
-                "phi_deg": float(args.phi_deg),
-                "n": args.n,
-                "shots": args.shots,
-                "repeats": args.repeats,
-                "m_mse_theta": stats.m_times_mse_theta,
-                "m_mse_phi": stats.m_times_mse_phi,
-                "cov_m": stats.m_times_covariance,
-                "qcrb_theta": stats.qcrb_theta,
-                "qcrb_phi": stats.qcrb_phi,
-                "err_theta": err_theta,
-                "err_phi": err_phi,
-                "n_failed": stats.n_failed,
-            }
+            [
+                theta_deg,
+                args.phi_deg,
+                args.n,
+                args.shots,
+                args.repeats,
+                stats.m_times_mse_theta,
+                stats.m_times_mse_phi,
+                stats.m_times_covariance,
+                stats.qcrb_theta,
+                stats.qcrb_phi,
+                err_theta,
+                err_phi,
+                stats.n_failed,
+            ]
         )
-    return _render_table(rows, SIMULATE_COLUMNS, args.format)
+    return rows
 
 
-def _run_heisenberg(args) -> str:
+def _run_heisenberg(args) -> list[list]:
     points = heisenberg_sweep(
         theta=math.radians(args.theta_deg),
         phi=math.radians(args.phi_deg),
@@ -325,34 +308,48 @@ def _run_heisenberg(args) -> str:
         repeats=args.repeats,
         seed=args.seed,
     )
-    rows = [
-        {
-            "n": point.n_iter,
-            "m_mse_theta": point.stats.m_times_mse_theta,
-            "m_mse_phi": point.stats.m_times_mse_phi,
-            "qcrb_theta": point.stats.qcrb_theta,
-            "qcrb_phi": point.stats.qcrb_phi,
-            "snl_theta": point.snl_theta,
-            "snl_phi": point.snl_phi,
-        }
+    return [
+        [
+            point.n_iter,
+            point.stats.m_times_mse_theta,
+            point.stats.m_times_mse_phi,
+            point.stats.qcrb_theta,
+            point.stats.qcrb_phi,
+            point.snl_theta,
+            point.snl_phi,
+        ]
         for point in points
     ]
-    return _render_table(rows, HEISENBERG_COLUMNS, args.format)
 
 
-_RUNNERS = {
-    "probs": _run_probs,
-    "qfim": _run_qfim,
-    "wcc": _run_wcc,
-    "surface": _run_surface,
-    "simulate": _run_simulate,
-    "heisenberg": _run_heisenberg,
+# command -> (runner, column schema of its table; None for a text result)
+_COMMANDS = {
+    "probs": (_run_probs, None),
+    "qfim": (_run_qfim, None),
+    "wcc": (_run_wcc, None),
+    "surface": (_run_surface, SURFACE_COLUMNS),
+    "simulate": (_run_simulate, SIMULATE_COLUMNS),
+    "heisenberg": (_run_heisenberg, HEISENBERG_COLUMNS),
 }
 
 
 def execute(args: argparse.Namespace) -> int:
-    """Run a parsed command line and write its output. Returns 0."""
-    _emit(_RUNNERS[args.command](args), args.output)
+    """Run a parsed command line and write its output. Returns 0.
+
+    The output is opened only after the run succeeds, so a failed run leaves
+    an existing --output file untouched.
+    """
+    run, columns = _COMMANDS[args.command]
+    result = run(args)
+    if args.output is None:
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        target = open(args.output, "w", encoding="utf-8", newline="")
+    with target as handle:
+        if columns is None:
+            handle.write(result)
+        else:
+            _write_table(handle, columns, result, args.format)
     return EXIT_OK
 
 

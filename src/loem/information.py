@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CurvatureConsistencyError, DivergentInformationError, SingularBoundError
-from .quantum import DEFAULT_STEP, StateFamily, derivatives
+from .quantum import StateFamily, central_difference, derivatives
 
 __all__ = [
     "qfim_pure",
@@ -72,14 +72,17 @@ def uhlmann_curvature(
 
     Each entry is computed along two independent routes: the SLD-commutator
     definition above and the pure-state reduction -2 Im <d_i psi|d_j psi>.
-    A disagreement beyond ``consistency_tol`` (e.g. a Jacobian inconsistent
-    with the state's normalization) raises CurvatureConsistencyError.
+    A disagreement beyond ``consistency_tol`` times max(1, max_i |d_i psi|^2)
+    (e.g. a Jacobian inconsistent with the state's normalization) raises
+    CurvatureConsistencyError.  The scale follows the finite-difference
+    noise, which grows with the Jacobian.
 
     The returned matrix is exactly antisymmetric with zero diagonal.
     """
     state, jac = _check_pair(state, jac)
     m = jac.shape[1]
     applied = [_sld_applied(state, jac[:, i]) for i in range(m)]
+    tol = consistency_tol * max([1.0] + [np.vdot(jac[:, i], jac[:, i]).real for i in range(m)])
     curv = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
@@ -87,10 +90,10 @@ def uhlmann_curvature(
             # only the imaginary part.
             commutator = -0.5 * np.imag(np.vdot(applied[i], applied[j]))
             reduction = -2.0 * np.imag(np.vdot(jac[:, i], jac[:, j]))
-            if abs(commutator - reduction) > consistency_tol:
+            if abs(commutator - reduction) > tol:
                 raise CurvatureConsistencyError(
-                    f"curvature entry ({i},{j}): SLD route {commutator!r} vs "
-                    f"overlap route {reduction!r} differ beyond {consistency_tol:g}"
+                    f"curvature entry ({i},{j}): SLD route {float(commutator)!r} vs "
+                    f"overlap route {float(reduction)!r} differ beyond {tol:g}"
                 )
             curv[i, j] = commutator
             curv[j, i] = -commutator
@@ -114,9 +117,7 @@ def _check_probs(p: np.ndarray) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
-def fim(
-    model: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = DEFAULT_STEP
-) -> np.ndarray:
+def fim(model: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Classical FIM of an outcome model at x by central differences.
 
     F_ij = sum_k dP(k)/dx_i dP(k)/dx_j / P(k).  Outcomes with P < 1e-12 and
@@ -127,11 +128,7 @@ def fim(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p0 = _check_probs(model(x))
     m = x.shape[0]
-    dp = np.zeros((p0.shape[0], m))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        dp[:, i] = (_check_probs(model(x + e)) - _check_probs(model(x - e))) / (2 * h)
+    dp = np.column_stack([central_difference(lambda y: _check_probs(model(y)), x, i) for i in range(m)])
     f = np.zeros((m, m))
     for k in range(p0.shape[0]):
         if p0[k] < _PROB_FLOOR:

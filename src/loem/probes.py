@@ -52,12 +52,7 @@ def loem_state(unitary_family: UnitaryFamily, x: np.ndarray, probes: np.ndarray)
     return tensor_product([u @ probe for probe in probes])
 
 
-def loem_family(
-    unitary_family: UnitaryFamily,
-    n_params: int,
-    probes: np.ndarray,
-    step: float = 1e-5,
-) -> StateFamily:
+def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray) -> StateFamily:
     """StateFamily wrapping loem_state; derivatives by central differences."""
     probes = np.asarray(probes, dtype=complex)
     dim = probes.shape[1] ** probes.shape[0]
@@ -65,7 +60,6 @@ def loem_family(
         dim=dim,
         n_params=n_params,
         evaluate=lambda x: loem_state(unitary_family, x, probes),
-        step=step,
     )
 
 

@@ -81,39 +81,20 @@ class StateFamily:
     ``evaluate`` must be a deterministic function of x (no random global
     phase): imaginary parts of derivative overlaps are only meaningful in a
     smooth gauge.  When ``jacobian`` is None, derivatives are taken by
-    central differences with ``step``; ``domain`` bounds (when given) switch
-    to second-order one-sided stencils near an edge.
+    central differences with step DEFAULT_STEP.
     """
 
     dim: int
     n_params: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    step: float = DEFAULT_STEP
-    domain: tuple[tuple[float, float], ...] | None = None
-
-    @property
-    def derivative_mode(self) -> str:
-        return "analytic" if self.jacobian is not None else "central-difference"
 
 
-def _finite_difference_column(family: StateFamily, x: np.ndarray, i: int) -> np.ndarray:
-    h = family.step
+def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, i: int) -> np.ndarray:
+    """Central-difference derivative of f along parameter i at x, step DEFAULT_STEP."""
     e = np.zeros_like(x)
-    e[i] = h
-    room_below = room_above = True
-    if family.domain is not None:
-        lo, hi = family.domain[i]
-        room_below = x[i] - 2 * h >= lo
-        room_above = x[i] + 2 * h <= hi
-    f = family.evaluate
-    if room_below and room_above:
-        return (f(x + e) - f(x - e)) / (2 * h)
-    if room_above:
-        return (-3 * f(x) + 4 * f(x + e) - f(x + 2 * e)) / (2 * h)
-    if room_below:
-        return (3 * f(x) - 4 * f(x - e) + f(x - 2 * e)) / (2 * h)
-    raise ValueError(f"domain of parameter {i} is too narrow for step {h}")
+    e[i] = DEFAULT_STEP
+    return (f(x + e) - f(x - e)) / (2 * DEFAULT_STEP)
 
 
 def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
@@ -130,7 +111,7 @@ def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
         jac = np.asarray(family.jacobian(x), dtype=complex)
     else:
         jac = np.column_stack(
-            [_finite_difference_column(family, x, i) for i in range(family.n_params)]
+            [central_difference(family.evaluate, x, i) for i in range(family.n_params)]
         )
     if jac.shape != (family.dim, family.n_params):
         raise ValueError(f"jacobian has shape {jac.shape}, expected {(family.dim, family.n_params)}")
@@ -166,10 +147,4 @@ def phase_shifted_family(family: StateFamily, alpha: Callable[[np.ndarray], floa
     def evaluate(x: np.ndarray) -> np.ndarray:
         return np.exp(1j * alpha(x)) * family.evaluate(x)
 
-    return StateFamily(
-        dim=family.dim,
-        n_params=family.n_params,
-        evaluate=evaluate,
-        step=family.step,
-        domain=family.domain,
-    )
+    return StateFamily(dim=family.dim, n_params=family.n_params, evaluate=evaluate)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loem.cli
+from loem import outcome_probabilities
 
 from loem.cli import (
     EXIT_IO,
@@ -266,6 +267,42 @@ class TestTables:
             for key in j_row:
                 assert float(c_row[key]) == float(j_row[key])
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_surface_matches_scalar_probabilities(self, tmp_path, n):
+        csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+        args = ["surface", "--resolution", "7", "--n", str(n)]
+        assert main(args + ["--output", str(csv_path)]) == EXIT_OK
+        assert main(args + ["--format", "json", "--output", str(json_path)]) == EXIT_OK
+        with open(csv_path, newline="") as handle:
+            csv_rows = [[float(v) for v in row] for row in list(csv.reader(handle))[1:]]
+        assert len(csv_rows) == 49
+        for row in csv_rows:
+            expected = outcome_probabilities(np.radians(row[0]), np.radians(row[1]), n)
+            assert np.max(np.abs(np.array(row[2:]) - expected)) <= 2.3e-16
+        json_rows = json.loads(json_path.read_text())
+        assert [[r[c] for c in SURFACE_COLUMNS] for r in json_rows] == csv_rows
+
+    def test_json_writes_null_for_non_finite(self, tmp_path):
+        # Every trial fails at theta = 0 with one shot, so the M x MSE cells are nan.
+        args = ["simulate", "--theta-deg", "0", "--phi-deg", "10", "--shots", "1", "--repeats", "2"]
+        args += ["--resamples", "0"]
+        csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
+        assert main(args + ["--output", str(csv_path)]) == EXIT_OK
+        assert main(args + ["--format", "json", "--output", str(json_path)]) == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-RFC 8259 constant {name}")
+
+        (json_row,) = json.loads(json_path.read_text(), parse_constant=reject)
+        with open(csv_path, newline="") as handle:
+            (csv_row,) = list(csv.DictReader(handle))
+        assert {"nan", "inf"} <= set(csv_row.values())
+        for key, text in csv_row.items():
+            if text in ("nan", "inf", "-inf"):
+                assert json_row[key] is None
+            else:
+                assert float(text) == json_row[key]
+
     @pytest.mark.parametrize("noise", sorted(GOLDEN_SIMULATE_CSV))
     def test_simulate_golden_csv(self, tmp_path, noise):
         out = tmp_path / "golden.csv"
@@ -310,6 +347,7 @@ REJECTED_VALUES = [
     ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", "0"],
     ["surface", "--resolution", "1"],
     ["simulate", "--phi-deg", "36", "--resamples", "-1"],
+    ["simulate", "--phi-deg", "36", "--resamples", "1"],
     ["simulate", "--phi-deg", "36", "--shots", "0"],
     ["simulate", "--phi-deg", "36", "--repeats", "1"],
     ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "0"],
@@ -329,6 +367,24 @@ class TestExitCodes:
         monkeypatch.setattr(loem.cli, "run_trials", lambda *a, **k: calls.append(a))
         assert main(["simulate", "--theta-deg", "10", "95", "--phi-deg", "36"]) == EXIT_USAGE
         assert calls == []
+        assert one_error_line(capsys.readouterr().err)
+
+    def test_single_resample_runs_no_campaign(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(loem.cli, "run_trials", lambda *a, **k: calls.append(a))
+        assert main(["simulate", "--theta-deg", "40", "--phi-deg", "36", "--resamples", "1"]) == EXIT_USAGE
+        assert calls == []
+        assert one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "theta, code", [(["95"], EXIT_USAGE), (["0", "--shots", "100"], EXIT_NUMERICAL)]
+    )
+    def test_failed_run_keeps_output(self, tmp_path, capsys, theta, code):
+        out = tmp_path / "kept.csv"
+        out.write_text("prior contents\n")
+        args = ["simulate", "--phi-deg", "36", "--repeats", "20", "--resamples", "0", "--theta-deg"]
+        assert main(args + theta + ["--output", str(out)]) == code
+        assert out.read_text() == "prior contents\n"
         assert one_error_line(capsys.readouterr().err)
 
     def test_usage_error_exit_one(self, capsys):

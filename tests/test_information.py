@@ -16,7 +16,9 @@ from loem import (
     crb_bound,
     derivatives,
     fim,
+    generator_unitary,
     identical_pair_family,
+    loem_family,
     orthogonal_probes,
     outcome_probabilities,
     phase_shifted_family,
@@ -191,6 +193,25 @@ class TestUhlmannCurvature:
         jac = np.column_stack([psi, np.array([1.0j, 1.0])])
         with pytest.raises(CurvatureConsistencyError):
             uhlmann_curvature(psi, jac, consistency_tol=1e-8)
+
+    def test_inconsistency_message_prints_plain_floats(self):
+        psi = np.array([1.0, 0.0], dtype=complex)
+        jac = np.column_stack([psi, np.array([1.0j, 1.0])])
+        with pytest.raises(CurvatureConsistencyError, match=r"SLD route -?\d.* vs overlap route -?\d"):
+            uhlmann_curvature(psi, jac)
+
+    def test_tolerance_scales_with_jacobian(self):
+        # Central differences on a d = 4 family with |d_i psi|^2 ~ 126 and 42:
+        # the routes give -1.62e-8 and -3.37e-8, beyond an absolute 1e-8.
+        rng = np.random.default_rng(14)
+        gens = []
+        for _ in range(2):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            gens.append(g + g.conj().T)
+        x = rng.uniform(0.2, 0.9, 2)
+        family = loem_family(generator_unitary(gens), 2, orthogonal_probes(4))
+        curv = uhlmann_curvature(family.evaluate(x), derivatives(family, x))
+        assert np.max(np.abs(curv)) < 1e-6
 
 
 class TestWccHolds:

@@ -132,15 +132,6 @@ class TestDerivatives:
         with pytest.raises(DerivativeError):
             derivatives(family, np.array([0.0]))
 
-    def test_one_sided_fallback_at_domain_boundary(self):
-        base = qubit_family()
-        bounded = dataclasses.replace(
-            base, jacobian=None, domain=((0.0, np.pi), (0.0, 2 * np.pi))
-        )
-        x = np.array([0.0, 0.0])  # no room below: forward stencil
-        jac = derivatives(bounded, x)
-        assert np.max(np.abs(jac - base.jacobian(x))) < 1e-7
-
     def test_wrong_parameter_count_rejected(self):
         with pytest.raises(ValueError):
             derivatives(qubit_family(), np.array([0.1]))
