@@ -131,9 +131,10 @@ def _add_n_option(sub):
     sub.add_argument("--n", type=_int_at_least(1), default=1, help="iteration count N")
 
 
-def _add_output_options(sub):
+def _add_output_options(sub, table: bool = False):
     sub.add_argument("--output", type=str, default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
+    if table:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
 
 def _add_campaign_options(sub):
@@ -168,7 +169,7 @@ def _parser() -> _Parser:
     p = sub.add_parser("surface", help="four-port probability surfaces on an angle grid")
     _add_n_option(p)
     p.add_argument("--resolution", type=_int_at_least(2), default=100, help="grid points per axis")
-    _add_output_options(p)
+    _add_output_options(p, table=True)
 
     p = sub.add_parser("simulate", help="M x MSE campaign versus the quantum bound")
     p.add_argument(
@@ -185,13 +186,13 @@ def _parser() -> _Parser:
     p.add_argument(
         "--resamples", type=_resamples, default=100, help="Monte Carlo error-bar samples (0 = skip, else >= 2)"
     )
-    _add_output_options(p)
+    _add_output_options(p, table=True)
 
     p = sub.add_parser("heisenberg", help="M x MSE scaling sweep over iteration counts")
     _add_angle_options(p)
     p.add_argument("--n-max", type=_int_at_least(1), default=10, help="sweep N = 1..n-max")
     _add_campaign_options(p)
-    _add_output_options(p)
+    _add_output_options(p, table=True)
 
     return parser
 

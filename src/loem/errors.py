@@ -50,5 +50,6 @@ class SingularBoundError(LoemError):
 
 
 class DegenerateConfigurationError(LoemError):
-    """Too many trial estimates failed; the true parameters sit too close
-    to an unidentifiable configuration (sin(N*theta) near zero)."""
+    """A campaign has too few usable estimates: too many failed because the
+    true parameters sit near an unidentifiable configuration (sin(N*theta)
+    near zero), or fewer than two are left for its statistics."""

@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, SingularBoundError
-from .information import crb_bound
+from .errors import DegenerateConfigurationError
 from .probes import antiparallel_qfim_closed, outcome_probabilities
+from .quantum import check_probabilities
 
 __all__ = [
     "NOISE_MODELS",
@@ -49,7 +49,8 @@ _STATUS_NAMES = ("ok", "boundary", "phi-unidentifiable")
 
 # Fraction of failed estimates beyond which a campaign is rejected as
 # degenerate.  Not applied at shots = 1, where every estimate is non-ok by
-# quantization alone.
+# quantization alone.  Every campaign needs two usable estimates for its
+# statistics.
 _MAX_FAILURE_FRACTION = 0.10
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -104,18 +105,16 @@ class Estimate:
 class TrialStatistics:
     """Squared-error statistics of one campaign of repeated estimates.
 
-    MSE and covariance are radians^2; the m_times_* fields are the same
-    quantities multiplied by the shot count M (dimensionless), which is the
-    scale on which the Cramér-Rao references qcrb_theta / qcrb_phi live.
-    se_* fields are standard errors of the corresponding m_times_* sample
-    statistics.  Statistics cover ok and boundary estimates (n_ok +
-    n_boundary of them); n_failed counts the excluded phi-unidentifiable
-    trials.
+    The m_times_* fields are the MSE of each angle and the sample covariance
+    of the estimates (radians^2), multiplied by the shot count M.  On that
+    dimensionless scale the quantum Cramér-Rao bounds qcrb_theta / qcrb_phi
+    are the closed forms 1/(2N^2) and 1/(2N^2 sin^2(N theta)).  se_* fields
+    are standard errors of the corresponding m_times_* sample statistics.
+    Statistics cover ok and boundary estimates (n_ok + n_boundary >= 2 of
+    them); n_failed counts the excluded phi-unidentifiable trials.  Every
+    field is finite.
     """
 
-    mse_theta: float
-    mse_phi: float
-    covariance: float
     m_times_mse_theta: float
     m_times_mse_phi: float
     m_times_covariance: float
@@ -153,12 +152,9 @@ def trial_rng(seed: int, trial_index: int, resample_index: int = 0) -> np.random
 
 def _sampling_distribution(probs: np.ndarray, shots: int) -> np.ndarray:
     """Validated outcome distribution, clipped at zero and renormalised."""
-    probs = np.asarray(probs, dtype=float)
-    if np.min(probs) < -1e-12 or abs(probs.sum() - 1.0) > 1e-10:
-        raise ValueError(f"invalid outcome distribution: sum = {probs.sum()!r}")
+    probs = check_probabilities(probs)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = np.maximum(probs, 0.0)
     return probs / probs.sum()
 
 
@@ -360,7 +356,8 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
     constrained-MLE values and are kept (dropping them biases the MSE below
     the Cramér-Rao bound wherever a port's expected count is small).  More
     than 10% failures (for shots > 1, where failures signal degeneracy
-    rather than quantization) raise DegenerateConfigurationError.
+    rather than quantization), or fewer than two usable estimates at any
+    shot count, raise DegenerateConfigurationError.
     """
     counts = campaign_counts(config, resample_index)
     thetas, phis, status = mle_closed_form_batch(counts, config.n_iter)
@@ -370,58 +367,36 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
             f"{n_failed}/{config.repeats} estimates failed; true theta = "
             f"{config.theta_true!r} is too close to a sin(N theta) = 0 zero for N = {config.n_iter}"
         )
+    usable = config.repeats - n_failed
+    if usable < 2:
+        raise DegenerateConfigurationError(
+            f"only {usable} of {config.repeats} estimates usable with shots = {config.shots}; "
+            "campaign statistics need at least 2"
+        )
     return _statistics(thetas, phis, status, config)
 
 
 def _statistics(
     thetas: np.ndarray, phis: np.ndarray, status: np.ndarray, config: TrialConfig
 ) -> TrialStatistics:
-    """Campaign statistics over the rows whose status is not STATUS_FAILED."""
+    """Campaign statistics over the (at least two) rows not STATUS_FAILED."""
     kept = status != STATUS_FAILED
     thetas, phis = thetas[kept], phis[kept]
     shots = float(config.shots)
-    n = thetas.size
-    nan = float("nan")
-    if n == 0:
-        mse_t = mse_p = cov = se_t = se_p = se_c = nan
-    else:
-        sq_t = (thetas - config.theta_true) ** 2
-        sq_p = (phis - config.phi_true) ** 2
-        mse_t = float(np.mean(sq_t))
-        mse_p = float(np.mean(sq_p))
-        if n >= 2:
-            dt = thetas - thetas.mean()
-            dp = phis - phis.mean()
-            cross = dt * dp
-            cov = float(cross.sum() / (n - 1))
-            se_t = float(shots * np.std(sq_t, ddof=1) / np.sqrt(n))
-            se_p = float(shots * np.std(sq_p, ddof=1) / np.sqrt(n))
-            se_c = float(shots * np.std(cross, ddof=1) / np.sqrt(n))
-        else:
-            cov = se_t = se_p = se_c = nan
-    try:
-        bound = crb_bound(
-            antiparallel_qfim_closed(config.theta_true, config.n_iter),
-            config.shots,
-            names=("theta", "phi"),
-        )
-        qcrb_theta = shots * float(bound[0, 0])
-        qcrb_phi = shots * float(bound[1, 1])
-    except SingularBoundError:
-        qcrb_theta = 1.0 / (2.0 * config.n_iter**2)
-        qcrb_phi = float("inf")
+    root_n = np.sqrt(thetas.size)
+    sq_t = (thetas - config.theta_true) ** 2
+    sq_p = (phis - config.phi_true) ** 2
+    cross = (thetas - thetas.mean()) * (phis - phis.mean())
+    qcrb = 1.0 / np.diag(antiparallel_qfim_closed(config.theta_true, config.n_iter))
     return TrialStatistics(
-        mse_theta=mse_t,
-        mse_phi=mse_p,
-        covariance=cov,
-        m_times_mse_theta=shots * mse_t,
-        m_times_mse_phi=shots * mse_p,
-        m_times_covariance=shots * cov,
-        se_m_mse_theta=se_t,
-        se_m_mse_phi=se_p,
-        se_m_covariance=se_c,
-        qcrb_theta=qcrb_theta,
-        qcrb_phi=qcrb_phi,
+        m_times_mse_theta=shots * float(np.mean(sq_t)),
+        m_times_mse_phi=shots * float(np.mean(sq_p)),
+        m_times_covariance=shots * float(cross.sum() / (thetas.size - 1)),
+        se_m_mse_theta=float(shots * np.std(sq_t, ddof=1) / root_n),
+        se_m_mse_phi=float(shots * np.std(sq_p, ddof=1) / root_n),
+        se_m_covariance=float(shots * np.std(cross, ddof=1) / root_n),
+        qcrb_theta=float(qcrb[0]),
+        qcrb_phi=float(qcrb[1]),
         n_ok=int(np.count_nonzero(status == STATUS_OK)),
         n_boundary=int(np.count_nonzero(status == STATUS_BOUNDARY)),
         n_failed=int(np.count_nonzero(~kept)),
@@ -455,7 +430,6 @@ def heisenberg_sweep(
     shots: int,
     repeats: int,
     seed: int,
-    noise_model: str = "multinomial",
 ) -> list[SweepPoint]:
     """One campaign per iteration count N, with QCRB and shot-noise references.
 
@@ -463,13 +437,12 @@ def heisenberg_sweep(
     uses: M x MSE_SNL(theta) = 1/(2N), M x MSE_SNL(phi) = 1/(2N sin^2(N theta)).
     """
     # Every TrialConfig is built, and so validated, before any campaign runs.
-    configs = [TrialConfig(theta, phi, int(n), shots, repeats, seed, noise_model) for n in n_list]
+    configs = [TrialConfig(theta, phi, int(n), shots, repeats, seed) for n in n_list]
     points = []
     for config in configs:
         n = config.n_iter
         stats = run_trials(config)
         sin_sq = float(np.sin(n * theta) ** 2)
-        snl_theta = 1.0 / (2.0 * n)
-        snl_phi = 1.0 / (2.0 * n * sin_sq) if sin_sq > 0 else float("inf")
-        points.append(SweepPoint(n_iter=n, stats=stats, snl_theta=snl_theta, snl_phi=snl_phi))
+        snl_phi = 1.0 / (2.0 * n * sin_sq)
+        points.append(SweepPoint(n_iter=n, stats=stats, snl_theta=1.0 / (2.0 * n), snl_phi=snl_phi))
     return points

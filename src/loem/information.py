@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CurvatureConsistencyError, DivergentInformationError, SingularBoundError
-from .quantum import StateFamily, central_difference, derivatives
+from .quantum import StateFamily, central_difference, check_probabilities, derivatives
 
 __all__ = [
     "qfim_pure",
@@ -29,6 +29,9 @@ __all__ = [
 _PROB_FLOOR = 1e-12
 # ...unless their derivative exceeds this, which makes the term divergent.
 _DERIV_FLOOR = 1e-9
+# Largest disagreement of the two curvature routes, per unit of the largest
+# squared Jacobian column norm.
+_CONSISTENCY_TOL = 1e-8
 
 
 def _check_pair(state: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,14 +68,12 @@ def _sld_applied(state: np.ndarray, deriv: np.ndarray) -> np.ndarray:
     return 2.0 * (deriv * np.vdot(state, state) + state * np.vdot(deriv, state))
 
 
-def uhlmann_curvature(
-    state: np.ndarray, jac: np.ndarray, consistency_tol: float = 1e-8
-) -> np.ndarray:
+def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Mean Uhlmann curvature U_ij = (i/4) <psi|[L_i, L_j]|psi>.
 
     Each entry is computed along two independent routes: the SLD-commutator
     definition above and the pure-state reduction -2 Im <d_i psi|d_j psi>.
-    A disagreement beyond ``consistency_tol`` times max(1, max_i |d_i psi|^2)
+    A disagreement beyond _CONSISTENCY_TOL times max(1, max_i |d_i psi|^2)
     (e.g. a Jacobian inconsistent with the state's normalization) raises
     CurvatureConsistencyError.  The scale follows the finite-difference
     noise, which grows with the Jacobian.
@@ -82,7 +83,7 @@ def uhlmann_curvature(
     state, jac = _check_pair(state, jac)
     m = jac.shape[1]
     applied = [_sld_applied(state, jac[:, i]) for i in range(m)]
-    tol = consistency_tol * max([1.0] + [np.vdot(jac[:, i], jac[:, i]).real for i in range(m)])
+    tol = _CONSISTENCY_TOL * max([1.0] + [np.vdot(jac[:, i], jac[:, i]).real for i in range(m)])
     curv = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
@@ -108,15 +109,6 @@ def wcc_holds(curv: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(curv)) < tol) if curv.size else True
 
 
-def _check_probs(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("outcome model must return a 1-D probability vector")
-    if np.min(p) < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"invalid probability vector: min {p.min()!r}, sum {p.sum()!r}")
-    return np.maximum(p, 0.0)
-
-
 def fim(model: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Classical FIM of an outcome model at x by central differences.
 
@@ -126,9 +118,9 @@ def fim(model: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     DivergentInformationError instead of silently producing a large entry.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    p0 = _check_probs(model(x))
+    p0 = check_probabilities(model(x))
     m = x.shape[0]
-    dp = np.column_stack([central_difference(lambda y: _check_probs(model(y)), x, i) for i in range(m)])
+    dp = np.column_stack([central_difference(lambda y: check_probabilities(model(y)), x, i) for i in range(m)])
     f = np.zeros((m, m))
     for k in range(p0.shape[0]):
         if p0[k] < _PROB_FLOOR:

@@ -19,6 +19,7 @@ from .errors import DerivativeError
 __all__ = [
     "check_state",
     "check_unitary",
+    "check_probabilities",
     "qubit_unitary",
     "tensor_product",
     "StateFamily",
@@ -53,6 +54,20 @@ def check_unitary(u: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     if defect > atol:
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
     return u
+
+
+def check_probabilities(p: np.ndarray) -> np.ndarray:
+    """Validate a 1-D probability vector and return it clipped at zero.
+
+    Entries may dip to -1e-12 and the sum may miss 1 by 1e-10 (roundoff of
+    Born-rule and closed-form probabilities); NaN entries fail both checks.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("probability vector must be a 1-D array")
+    if not (np.min(p) >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
+        raise ValueError(f"invalid probability vector: min {p.min()!r}, sum {p.sum()!r}")
+    return np.maximum(p, 0.0)
 
 
 def qubit_unitary(theta: float, phi: float) -> np.ndarray:

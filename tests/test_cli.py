@@ -283,8 +283,8 @@ class TestTables:
         assert [[r[c] for c in SURFACE_COLUMNS] for r in json_rows] == csv_rows
 
     def test_json_writes_null_for_non_finite(self, tmp_path):
-        # Every trial fails at theta = 0 with one shot, so the M x MSE cells are nan.
-        args = ["simulate", "--theta-deg", "0", "--phi-deg", "10", "--shots", "1", "--repeats", "2"]
+        # --resamples 0 skips the error bars, so the err_* cells are nan.
+        args = ["simulate", "--theta-deg", "40", "--phi-deg", "36", "--shots", "100", "--repeats", "10"]
         args += ["--resamples", "0"]
         csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
         assert main(args + ["--output", str(csv_path)]) == EXIT_OK
@@ -296,7 +296,7 @@ class TestTables:
         (json_row,) = json.loads(json_path.read_text(), parse_constant=reject)
         with open(csv_path, newline="") as handle:
             (csv_row,) = list(csv.DictReader(handle))
-        assert {"nan", "inf"} <= set(csv_row.values())
+        assert "nan" in set(csv_row.values())
         for key, text in csv_row.items():
             if text in ("nan", "inf", "-inf"):
                 assert json_row[key] is None
@@ -339,6 +339,7 @@ def one_error_line(err: str) -> bool:
 # CLI-only options, the parser) accepts: each must exit 1 with one error line.
 REJECTED_VALUES = [
     ["probs", "--theta-deg", "nan", "--phi-deg", "10"],
+    ["probs", "--theta-deg", "10", "--phi-deg", "10", "--format", "json"],
     ["qfim", "--theta-deg", "inf", "--phi-deg", "10"],
     ["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"],
     ["qfim", "--family", "single", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"],
@@ -377,7 +378,12 @@ class TestExitCodes:
         assert one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize(
-        "theta, code", [(["95"], EXIT_USAGE), (["0", "--shots", "100"], EXIT_NUMERICAL)]
+        "theta, code",
+        [
+            (["95"], EXIT_USAGE),
+            (["0", "--shots", "100"], EXIT_NUMERICAL),
+            (["0", "--shots", "1"], EXIT_NUMERICAL),
+        ],
     )
     def test_failed_run_keeps_output(self, tmp_path, capsys, theta, code):
         out = tmp_path / "kept.csv"

@@ -1,10 +1,15 @@
 """Tests for count sampling, the MLE pair, and Monte Carlo campaigns."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loem.estimation
 from loem import (
+    NOISE_MODELS,
     STATUS_BOUNDARY,
     STATUS_FAILED,
     STATUS_OK,
@@ -298,7 +303,9 @@ class TestRunTrials:
         assert abs(stats.m_times_mse_phi / target_phi - 1.0) < 0.15
         assert abs(stats.m_times_covariance) < 3.0 * stats.se_m_covariance
         assert stats.n_failed == 0
-        assert stats.mse_theta * config.shots == stats.m_times_mse_theta
+        thetas, _, status = mle_closed_form_batch(campaign_counts(config))
+        sq_err = (thetas[status != STATUS_FAILED] - config.theta_true) ** 2
+        assert stats.m_times_mse_theta == config.shots * np.mean(sq_err)
 
     def test_small_theta_target(self):
         # 1/(2 sin^2 10 deg) = 16.58
@@ -317,6 +324,42 @@ class TestRunTrials:
         config = TrialConfig(1e-4, np.radians(30.0), 1, shots=100, repeats=50, seed=4)
         with pytest.raises(DegenerateConfigurationError):
             run_trials(config)
+
+    def test_single_shot_needs_two_usable_estimates(self):
+        # theta = 0 gives n3 = n4 = 0 in every trial; at one shot the failures
+        # are not blamed on a sin(N theta) zero, only counted
+        config = TrialConfig(0.0, np.radians(10.0), 1, shots=1, repeats=2, seed=0)
+        message = "only 0 of 2 estimates usable with shots = 1; campaign statistics need at least 2"
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            run_trials(config)
+
+    @pytest.mark.parametrize("shots", [500, 10**4])
+    def test_qcrb_is_closed_form(self, shots):
+        theta = np.radians(10.0)
+        stats = run_trials(TrialConfig(theta, np.radians(36.0), 1, shots, 50, seed=2))
+        assert stats.qcrb_theta == 0.5
+        assert stats.qcrb_phi == 1.0 / (2.0 * np.sin(theta) ** 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n_iter=st.integers(1, 4),
+        shots=st.sampled_from([1, 2, 5, 100]),
+        repeats=st.integers(2, 12),
+        seed=st.integers(0, 2**64 - 1),
+        noise_model=st.sampled_from(NOISE_MODELS),
+    )
+    def test_statistics_finite_or_degenerate(self, data, n_iter, shots, repeats, seed, noise_model):
+        angle = st.floats(0.0, np.pi / (2 * n_iter), exclude_max=True)
+        theta, phi = data.draw(angle, label="theta"), data.draw(angle, label="phi")
+        config = TrialConfig(theta, phi, n_iter, shots, repeats, seed, noise_model)
+        try:
+            stats = run_trials(config)
+        except DegenerateConfigurationError:
+            return
+        assert all(np.isfinite(v) for v in dataclasses.astuple(stats))
+        assert stats.n_ok + stats.n_boundary >= 2
+        assert stats.n_ok + stats.n_boundary + stats.n_failed == repeats
 
     @pytest.mark.parametrize("case", CAMPAIGNS)
     def test_matches_per_trial_loop(self, case):
@@ -340,10 +383,10 @@ class TestRunTrials:
             statuses.count(s) for s in ("ok", "boundary", "phi-unidentifiable")
         )
         thetas, phis = np.array(thetas), np.array(phis)
-        assert stats.mse_theta == np.mean((thetas - config.theta_true) ** 2)
-        assert stats.mse_phi == np.mean((phis - config.phi_true) ** 2)
+        assert stats.m_times_mse_theta == config.shots * np.mean((thetas - config.theta_true) ** 2)
+        assert stats.m_times_mse_phi == config.shots * np.mean((phis - config.phi_true) ** 2)
         dt, dp = thetas - thetas.mean(), phis - phis.mean()
-        assert stats.covariance == (dt * dp).sum() / (thetas.size - 1)
+        assert stats.m_times_covariance == config.shots * ((dt * dp).sum() / (thetas.size - 1))
 
     def test_bit_identical_statistics(self):
         config = TrialConfig(np.radians(40.0), np.radians(36.0), 1, 2000, 100, seed=5)
@@ -359,9 +402,8 @@ class TestRunTrials:
             per_seed = []
             for seed in range(5):
                 stats = run_trials(TrialConfig(theta, phi, 1, shots, 400, seed))
-                per_seed.append(
-                    (stats.mse_theta, stats.mse_phi, stats.m_times_mse_theta, stats.m_times_mse_phi)
-                )
+                m_mse = (stats.m_times_mse_theta, stats.m_times_mse_phi)
+                per_seed.append((m_mse[0] / shots, m_mse[1] / shots) + m_mse)
             medians.append(np.median(np.asarray(per_seed), axis=0))
         medians = np.asarray(medians)
         # raw MSE shrinks monotonically with M

@@ -159,7 +159,7 @@ class TestUhlmannCurvature:
         for _ in range(1000):
             psi = random_state(rng, dim)
             jac = tangent_jacobian(rng, psi, 2)
-            curv = uhlmann_curvature(psi, jac, consistency_tol=1e-8)
+            curv = uhlmann_curvature(psi, jac)
             reduction = -2.0 * np.imag(np.vdot(jac[:, 0], jac[:, 1]))
             assert abs(curv[0, 1] - reduction) < 1e-8
 
@@ -192,7 +192,7 @@ class TestUhlmannCurvature:
         psi = np.array([1.0, 0.0], dtype=complex)
         jac = np.column_stack([psi, np.array([1.0j, 1.0])])
         with pytest.raises(CurvatureConsistencyError):
-            uhlmann_curvature(psi, jac, consistency_tol=1e-8)
+            uhlmann_curvature(psi, jac)
 
     def test_inconsistency_message_prints_plain_floats(self):
         psi = np.array([1.0, 0.0], dtype=complex)
