@@ -4,14 +4,11 @@ All numerical-degeneracy conditions derive from :class:`LoemError` so the
 CLI can map them onto a single exit code.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "LoemError",
     "DerivativeError",
     "CurvatureConsistencyError",
     "DivergentInformationError",
-    "SingularBoundError",
     "DegenerateConfigurationError",
 ]
 
@@ -34,19 +31,6 @@ class DivergentInformationError(LoemError):
     The Fisher information of such an outcome diverges; it is flagged rather
     than silently accumulated.
     """
-
-
-class SingularBoundError(LoemError):
-    """An information matrix cannot be inverted into a covariance bound.
-
-    Carries the index (and, when supplied, the name) of the parameter that
-    is unidentifiable at this point.
-    """
-
-    def __init__(self, message: str, parameter_index: int, parameter_name: str | None = None):
-        super().__init__(message)
-        self.parameter_index = parameter_index
-        self.parameter_name = parameter_name
 
 
 class DegenerateConfigurationError(LoemError):

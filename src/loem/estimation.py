@@ -26,14 +26,12 @@ __all__ = [
     "STATUS_BOUNDARY",
     "STATUS_FAILED",
     "TrialConfig",
-    "Estimate",
     "TrialStatistics",
     "SweepPoint",
     "trial_rng",
     "sample_counts",
     "campaign_counts",
     "mle_closed_form_batch",
-    "mle_closed_form",
     "mle_grid",
     "run_trials",
     "error_bars",
@@ -42,10 +40,8 @@ __all__ = [
 
 NOISE_MODELS = ("multinomial", "poisson")
 
-# Per-row status codes of mle_closed_form_batch, and the Estimate.status
-# string of each.
+# Per-row status codes of mle_closed_form_batch and mle_grid.
 STATUS_OK, STATUS_BOUNDARY, STATUS_FAILED = 0, 1, 2
-_STATUS_NAMES = ("ok", "boundary", "phi-unidentifiable")
 
 # Fraction of failed estimates beyond which a campaign is rejected as
 # degenerate.  Not applied at shots = 1, where every estimate is non-ok by
@@ -90,15 +86,6 @@ class TrialConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A joint (theta, phi) estimate with its identifiability status."""
-
-    theta_hat: float
-    phi_hat: float
-    status: str  # "ok", "phi-unidentifiable", or "boundary"
 
 
 @dataclass(frozen=True)
@@ -220,13 +207,21 @@ def _check_counts(counts: np.ndarray, ndim: int = 1) -> np.ndarray:
 def mle_closed_form_batch(
     counts: np.ndarray, n_iter: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form MLE of every row of an (R, 4) count array.
+    """Exact maximizer of the four-port multinomial log-likelihood, per row.
 
-    Returns theta_hat, phi_hat and a status code per row: STATUS_OK,
-    STATUS_BOUNDARY (the constrained maximizer sits on an edge of the box,
-    as described in mle_closed_form) or STATUS_FAILED (n34 = 0, which
-    includes the zero-total rows Poisson noise can give).  Failed rows have
-    phi_hat = NaN, and theta_hat = NaN too when their total is zero.
+    For each row of an (R, 4) count array, with n34 = n3 + n4 and M the row
+    total, the likelihood factorizes over the two angles, giving s_hat =
+    (2 n2 + n34) / (2M), theta_hat = (2/N) arcsin(sqrt(s_hat)) and phi_hat =
+    (1/N) arctan(sqrt(n3/n4)).
+
+    Returns theta_hat, phi_hat and a status code per row.  STATUS_FAILED:
+    n34 = 0, so no counts carry phase information (this includes the
+    zero-total rows Poisson noise can give); phi_hat is NaN, and theta_hat
+    too when the total is zero.  STATUS_BOUNDARY: the constrained maximizer
+    sits on an edge of [0, pi/(2N)]^2, with phi_hat pinned to 0 (n3 = 0) or
+    pi/(2N) (n4 = 0), or theta_hat pinned to pi/(2N) (s_hat > 1/2).
+    Boundary estimates carry the constrained-MLE values and remain usable.
+    STATUS_OK otherwise.
     """
     counts = _check_counts(counts, ndim=2)
     if n_iter < 1:
@@ -248,23 +243,6 @@ def mle_closed_form_batch(
     phi_hat[failed] = np.nan
     status = np.where(failed, STATUS_FAILED, np.where(pinned, STATUS_BOUNDARY, STATUS_OK))
     return theta_hat, phi_hat, status
-
-
-def mle_closed_form(counts: np.ndarray, n_iter: int = 1) -> Estimate:
-    """Exact maximizer of the four-port multinomial log-likelihood.
-
-    With n34 = n3 + n4 and M the total, the likelihood factorizes over the
-    two angles, giving s_hat = (2 n2 + n34) / (2M), theta_hat =
-    (2/N) arcsin(sqrt(s_hat)) and phi_hat = (1/N) arctan(sqrt(n3/n4)).
-
-    Status is "phi-unidentifiable" when n34 = 0 (no counts carry phase
-    information) and "boundary" when the constrained maximizer sits on an
-    edge of [0, pi/(2N)]^2: phi_hat pinned to 0 (n3 = 0) or pi/(2N)
-    (n4 = 0), or theta_hat pinned to pi/(2N) (s_hat > 1/2).  Boundary
-    estimates carry the constrained-MLE values and remain usable.
-    """
-    theta_hat, phi_hat, status = mle_closed_form_batch(_check_counts(counts)[None, :], n_iter)
-    return Estimate(float(theta_hat[0]), float(phi_hat[0]), _STATUS_NAMES[status[0]])
 
 
 def _loglik_terms(count: float, prob: np.ndarray) -> np.ndarray:
@@ -293,13 +271,15 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, iterations: i
     return 0.5 * (a + b)
 
 
-def mle_grid(counts: np.ndarray, n_iter: int = 1, resolution: int = 512) -> Estimate:
+def mle_grid(counts: np.ndarray, n_iter: int = 1, resolution: int = 512) -> tuple[float, float, int]:
     """Independent likelihood maximizer over a grid on [0, pi/(2N)]^2.
 
     Takes the arg-max of the log-likelihood on a resolution x resolution
     grid (ties broken toward smaller (theta, phi) lexicographically) and
     refines each coordinate with 40 golden-section iterations within one
-    grid cell.  Serves as the oracle for mle_closed_form.
+    grid cell.  Returns (theta_hat, phi_hat, status) for one row of four
+    counts, with a STATUS_* code as in mle_closed_form_batch, whose oracle
+    it is.
     """
     counts = _check_counts(counts)
     if n_iter < 1:
@@ -340,9 +320,9 @@ def mle_grid(counts: np.ndarray, n_iter: int = 1, resolution: int = 512) -> Esti
     # count pattern, not of the maximizer used.
     s_hat = (2.0 * n2 + n34) / (2.0 * counts.sum())
     if n34 == 0:
-        return Estimate(float(theta_hat), float("nan"), "phi-unidentifiable")
-    status = "boundary" if (n3 == 0 or n4 == 0 or s_hat > 0.5 + 1e-12) else "ok"
-    return Estimate(float(theta_hat), float(phi_hat), status)
+        return float(theta_hat), float("nan"), STATUS_FAILED
+    status = STATUS_BOUNDARY if (n3 == 0 or n4 == 0 or s_hat > 0.5 + 1e-12) else STATUS_OK
+    return float(theta_hat), float(phi_hat), status
 
 
 def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:

@@ -3,7 +3,7 @@
 Provides the pure-state quantum Fisher information matrix (QFIM), symmetric
 logarithmic derivative (SLD) operators, the mean Uhlmann curvature (the weak
 commutativity diagnostic), the classical Fisher information matrix (FIM) of
-an outcome model, Cramér-Rao bound matrices, and uniform-prior QFIM averages.
+an outcome model, and uniform-prior QFIM averages.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CurvatureConsistencyError, DivergentInformationError, SingularBoundError
+from .errors import CurvatureConsistencyError, DivergentInformationError
 from .quantum import StateFamily, central_difference, check_probabilities, derivatives
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "uhlmann_curvature",
     "wcc_holds",
     "fim",
-    "crb_bound",
     "average_qfim",
 ]
 
@@ -42,16 +41,21 @@ def _check_pair(state: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndar
     return state, jac
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the result is checked instead
 def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """QFIM of a normalized pure state from its parameter Jacobian.
 
-    Q_ij = 4 Re(<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>).
+    Q_ij = 4 Re(<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>).  A
+    non-finite result raises DivergentInformationError.
     """
     state, jac = _check_pair(state, jac)
     gram = jac.conj().T @ jac
     overlap = jac.conj().T @ state  # entry i: <d_i psi|psi>
     q = 4.0 * np.real(gram - np.outer(overlap, overlap.conj()))
-    return 0.5 * (q + q.T)
+    q = 0.5 * (q + q.T)
+    if not np.isfinite(q).all():
+        raise DivergentInformationError("QFIM overflows: the Jacobian is too large")
+    return q
 
 
 def sld_pure(state: np.ndarray, deriv_column: np.ndarray) -> np.ndarray:
@@ -68,6 +72,7 @@ def _sld_applied(state: np.ndarray, deriv: np.ndarray) -> np.ndarray:
     return 2.0 * (deriv * np.vdot(state, state) + state * np.vdot(deriv, state))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the result is checked instead
 def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Mean Uhlmann curvature U_ij = (i/4) <psi|[L_i, L_j]|psi>.
 
@@ -76,7 +81,8 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     A disagreement beyond _CONSISTENCY_TOL times max(1, max_i |d_i psi|^2)
     (e.g. a Jacobian inconsistent with the state's normalization) raises
     CurvatureConsistencyError.  The scale follows the finite-difference
-    noise, which grows with the Jacobian.
+    noise, which grows with the Jacobian.  A non-finite tolerance or result
+    raises DivergentInformationError.
 
     The returned matrix is exactly antisymmetric with zero diagonal.
     """
@@ -98,6 +104,8 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
                 )
             curv[i, j] = commutator
             curv[j, i] = -commutator
+    if not (np.isfinite(tol) and np.isfinite(curv).all()):
+        raise DivergentInformationError("curvature overflows: the Jacobian is too large")
     return curv
 
 
@@ -132,33 +140,6 @@ def fim(model: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
             )
         f += np.outer(dp[k], dp[k]) / p0[k]
     return 0.5 * (f + f.T)
-
-
-def crb_bound(
-    info: np.ndarray, shots: int, names: Sequence[str] | None = None
-) -> np.ndarray:
-    """Cramér-Rao covariance bound (info * shots)^(-1).
-
-    Raises SingularBoundError naming the unidentifiable parameter when the
-    scaled matrix is singular (|det| < 1e-12).
-    """
-    info = np.asarray(info, dtype=float)
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
-    scaled = float(shots) * info
-    det = float(np.linalg.det(scaled))
-    if abs(det) < 1e-12:
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (scaled + scaled.T))
-        null_index = int(np.argmin(np.abs(eigvals)))
-        idx = int(np.argmax(np.abs(eigvecs[:, null_index])))
-        name = names[idx] if names is not None else f"parameter {idx}"
-        raise SingularBoundError(
-            f"information matrix is singular (det = {det:.3e}, "
-            f"eigenvalues = {eigvals.tolist()}); {name} is unidentifiable here",
-            parameter_index=idx,
-            parameter_name=names[idx] if names is not None else None,
-        )
-    return np.linalg.inv(scaled)
 
 
 def average_qfim(

@@ -84,11 +84,20 @@ def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
     return unitary
 
 
-def antiparallel_state(theta: float, phi: float, n_iter: int = 1) -> np.ndarray:
-    """U(N theta, N phi)|0> (x) U(N theta, N phi)|1> in basis |00>,|01>,|10>,|11>."""
+@np.errstate(over="ignore")  # the result is checked instead
+def _amplified(n_iter: int, theta, phi):
+    """(N theta, N phi), which must be finite: sin and cos of inf are NaN."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    u = qubit_unitary(n_iter * theta, n_iter * phi)
+    a, b = n_iter * theta, n_iter * phi
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(f"N * angle is not finite for N = {n_iter}")
+    return a, b
+
+
+def antiparallel_state(theta: float, phi: float, n_iter: int = 1) -> np.ndarray:
+    """U(N theta, N phi)|0> (x) U(N theta, N phi)|1> in basis |00>,|01>,|10>,|11>."""
+    u = qubit_unitary(*_amplified(n_iter, theta, phi))
     return np.kron(u[:, 0], u[:, 1])
 
 
@@ -163,10 +172,7 @@ def outcome_probabilities(theta: float, phi: float, n_iter: int = 1) -> np.ndarr
     P1 = cos^4(N theta/2), P2 = sin^4(N theta/2),
     P3 = sin^2(N theta) sin^2(N phi)/2, P4 = sin^2(N theta) cos^2(N phi)/2.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    a = n_iter * theta
-    b = n_iter * phi
+    a, b = _amplified(n_iter, theta, phi)
     sin_a_sq = np.sin(a) ** 2
     return np.array(
         [

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DerivativeError
 
 __all__ = [
-    "check_state",
     "check_unitary",
     "check_probabilities",
     "qubit_unitary",
@@ -32,17 +31,6 @@ __all__ = [
 #: cancellation at double precision; validated against analytic qubit
 #: derivatives in the test suite.
 DEFAULT_STEP = 1e-5
-
-
-def check_state(psi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate a normalized state vector and return it as complex128."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.size == 0:
-        raise ValueError("state vector must be a non-empty 1-D array")
-    norm_sq = float(np.sum(np.abs(psi) ** 2))
-    if not np.isfinite(norm_sq) or abs(norm_sq - 1.0) > atol:
-        raise ValueError(f"state vector is not normalized: sum |a_k|^2 = {norm_sq!r}")
-    return psi
 
 
 def check_unitary(u: np.ndarray, atol: float = 1e-12) -> np.ndarray:

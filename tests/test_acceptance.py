@@ -23,7 +23,7 @@ from loem import (
     heisenberg_sweep,
     identical_pair_family,
     loem_family,
-    mle_closed_form,
+    mle_closed_form_batch,
     mle_grid,
     orthogonal_probes,
     outcome_probabilities,
@@ -205,22 +205,12 @@ def test_criterion_6_mle_oracle_equivalence():
         counts = rng.multinomial(10**4, outcome_probabilities(theta, phi, 1))
         if not np.all(counts >= 1):
             continue
-        closed = mle_closed_form(counts, 1)
-        grid = mle_grid(counts, 1, resolution=512)
-        worst_gap = max(
-            worst_gap,
-            abs(closed.theta_hat - grid.theta_hat),
-            abs(closed.phi_hat - grid.phi_hat),
-        )
+        (theta_hat,), (phi_hat,), _ = mle_closed_form_batch(counts[None, :], 1)
+        grid_theta, grid_phi, _ = mle_grid(counts, 1, resolution=512)
+        worst_gap = max(worst_gap, abs(theta_hat - grid_theta), abs(phi_hat - grid_phi))
         total = counts.sum()
-        grad_t = (
-            loglik(counts, closed.theta_hat + h, closed.phi_hat)
-            - loglik(counts, closed.theta_hat - h, closed.phi_hat)
-        ) / (2 * h)
-        grad_p = (
-            loglik(counts, closed.theta_hat, closed.phi_hat + h)
-            - loglik(counts, closed.theta_hat, closed.phi_hat - h)
-        ) / (2 * h)
+        grad_t = (loglik(counts, theta_hat + h, phi_hat) - loglik(counts, theta_hat - h, phi_hat)) / (2 * h)
+        grad_p = (loglik(counts, theta_hat, phi_hat + h) - loglik(counts, theta_hat, phi_hat - h)) / (2 * h)
         worst_grad = max(worst_grad, float(np.hypot(grad_t, grad_p) / total))
         checked += 1
     elapsed = time.perf_counter() - start

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -335,8 +338,19 @@ def one_error_line(err: str) -> bool:
     return err.startswith("error:") and err.count("\n") == 1
 
 
+# Integers too large for a float (and, above 2**63, for a C integer or a
+# range length).
+HUGE_N = str(10**400)
+OVERFLOWING_N = str(10**160)  # N * angle is finite, its squared derivative is not
+
+
+def case_id(args: list[str]) -> str:
+    return " ".join(a if len(a) <= 20 else f"<{len(a)} digits>" for a in args)
+
+
 # Non-finite angles and values outside the ranges the library (or, for
-# CLI-only options, the parser) accepts: each must exit 1 with one error line.
+# CLI-only options, the parser) accepts, and integers too large to compute
+# with: each must exit 1 with one error line.
 REJECTED_VALUES = [
     ["probs", "--theta-deg", "nan", "--phi-deg", "10"],
     ["probs", "--theta-deg", "10", "--phi-deg", "10", "--format", "json"],
@@ -353,11 +367,16 @@ REJECTED_VALUES = [
     ["simulate", "--phi-deg", "36", "--repeats", "1"],
     ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "0"],
     ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"],
+    ["probs", "--theta-deg", "1e300", "--phi-deg", "1", "--n", "1000000000000000"],
+    ["surface", "--n", HUGE_N],
+    ["simulate", "--phi-deg", "36", "--n", HUGE_N],
+    ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", HUGE_N],
+    ["simulate", "--phi-deg", "36", "--shots", "100000000000000000000"],
 ]
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("args", REJECTED_VALUES, ids=" ".join)
+    @pytest.mark.parametrize("args", REJECTED_VALUES, ids=case_id)
     def test_rejected_value_exit_one(self, capsys, args):
         assert main(args) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -429,6 +448,20 @@ class TestExitCodes:
         assert main(args) == EXIT_NUMERICAL
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["qfim", "wcc"])
+    def test_overflowing_information_exit_two(self, capsys, command):
+        assert main([command, "--theta-deg", "10", "--phi-deg", "10", "--n", OVERFLOWING_N]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and one_error_line(captured.err)
+
+    def test_huge_integer_no_traceback(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loem.cli.__file__)))
+        args = ["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", HUGE_N]
+        done = subprocess.run([sys.executable, "-m", "loem", *args], env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_USAGE
+        assert done.stdout == "" and one_error_line(done.stderr)
+        assert "Traceback" not in done.stderr
+
     def test_io_failure_exit_three(self, tmp_path, capsys):
         out = tmp_path / "missing" / "deep" / "out.csv"
         assert main(["surface", "--resolution", "4", "--output", str(out)]) == EXIT_IO
@@ -444,7 +477,7 @@ class TestCliBoundary:
         family=st.sampled_from(["antiparallel", "single", "parallel"]),
         theta=st.floats(allow_nan=True, allow_infinity=True),
         phi=st.floats(allow_nan=True, allow_infinity=True),
-        n=st.integers(-2, 12),
+        n=st.one_of(st.integers(-2, 12), st.integers(10**15, 10**400)),
     )
     def test_exit_code_and_stderr(self, command, family, theta, phi, n):
         # "--flag=value" keeps argparse from reading "-inf" or "-1e-05" as a flag.

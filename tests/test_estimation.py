@@ -18,7 +18,6 @@ from loem import (
     campaign_counts,
     error_bars,
     heisenberg_sweep,
-    mle_closed_form,
     mle_closed_form_batch,
     mle_grid,
     outcome_probabilities,
@@ -26,9 +25,6 @@ from loem import (
     sample_counts,
     trial_rng,
 )
-
-STATUS_CODES = {"ok": STATUS_OK, "boundary": STATUS_BOUNDARY, "phi-unidentifiable": STATUS_FAILED}
-
 
 def loglik(counts, theta, phi, n_iter):
     probs = outcome_probabilities(theta, phi, n_iter)
@@ -156,26 +152,18 @@ class TestMleClosedFormBatch:
         thetas, phis, status = mle_closed_form_batch(counts, n_iter)
         tol = 2 * (np.pi / (2 * n_iter)) / 128
         for row, theta, phi, code in zip(counts, thetas, phis, status):
-            grid = mle_grid(row, n_iter, resolution=128)
-            assert code == STATUS_CODES[grid.status], row
-            assert abs(theta - grid.theta_hat) < tol, row
+            grid_theta, grid_phi, grid_code = mle_grid(row, n_iter, resolution=128)
+            assert code == grid_code, row
+            assert abs(theta - grid_theta) < tol, row
             if code == STATUS_FAILED:
-                assert np.isnan(phi) and np.isnan(grid.phi_hat)
+                assert np.isnan(phi) and np.isnan(grid_phi)
             else:
-                assert abs(phi - grid.phi_hat) < tol, row
+                assert abs(phi - grid_phi) < tol, row
 
     def test_zero_total_row_fails(self):
         thetas, phis, status = mle_closed_form_batch(np.array([[0, 0, 0, 0], [10, 10, 10, 10]]))
         assert list(status) == [STATUS_FAILED, STATUS_OK]
         assert np.isnan(thetas[0]) and np.isnan(phis[0])
-
-    def test_scalar_wrapper_agrees_row_by_row(self):
-        counts = np.random.default_rng(24).integers(0, 40, size=(30, 4))
-        counts = counts[counts[:, 2:].sum(axis=1) > 0]
-        thetas, phis, status = mle_closed_form_batch(counts, 2)
-        for row, theta, phi, code in zip(counts, thetas, phis, status):
-            est = mle_closed_form(row, 2)
-            assert (est.theta_hat, est.phi_hat, STATUS_CODES[est.status]) == (theta, phi, code)
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -186,60 +174,46 @@ class TestMleClosedFormBatch:
             mle_closed_form_batch(np.array([[1, 2, 3, 4]]), n_iter=0)
 
 
+# One row per fixed point: counts, N, the expected theta_hat, phi_hat and
+# status, and the tolerance on both angles (0 asks for exact equality).
+# None leaves that angle unchecked.
+MLE_FIXED_POINTS = {
+    "all_counts_in_port_one": ([1000, 0, 0, 0], 1, 0.0, None, STATUS_FAILED, 0.0),
+    # stationary point of the multinomial log-likelihood; grid cross-check below
+    "uniform_counts": ([2500, 2500, 2500, 2500], 1, np.pi / 2, np.pi / 4, STATUS_OK, 1e-12),
+    # s = 0.1 -> theta = 2 arcsin(sqrt(0.1)), n3 = n4 -> phi = pi/4
+    "frozen_reference_counts": ([8100, 100, 900, 900], 1, 0.6435011087932844, np.pi / 4, STATUS_OK, 1e-12),
+    "phi_pinned_low": ([800, 100, 0, 100], 1, None, 0.0, STATUS_BOUNDARY, 0.0),
+    "phi_pinned_high": ([800, 100, 100, 0], 2, None, np.pi / 4, STATUS_BOUNDARY, 0.0),
+    # s_hat = (2 n2 + n34) / (2M) > 1/2 pins theta to pi/(2N)
+    "theta_pinned_at_box_edge": ([0, 900, 50, 50], 1, np.pi / 2, None, STATUS_BOUNDARY, 0.0),
+}
+
+
 class TestMleClosedForm:
-    def test_all_counts_in_port_one(self):
-        est = mle_closed_form(np.array([1000, 0, 0, 0]), 1)
-        assert est.theta_hat == 0.0
-        assert est.status == "phi-unidentifiable"
-
-    def test_uniform_counts(self):
-        # stationary point of the multinomial log-likelihood; grid cross-check below
-        est = mle_closed_form(np.array([2500, 2500, 2500, 2500]), 1)
-        assert abs(est.theta_hat - np.pi / 2) < 1e-12
-        assert abs(est.phi_hat - np.pi / 4) < 1e-12
-
-    def test_frozen_reference_counts(self):
-        # s = 0.1 -> theta = 2 arcsin(sqrt(0.1)), n3 = n4 -> phi = pi/4
-        est = mle_closed_form(np.array([8100, 100, 900, 900]), 1)
-        assert abs(est.theta_hat - 0.6435011087932844) < 1e-12
-        assert abs(est.phi_hat - np.pi / 4) < 1e-12
-        assert est.status == "ok"
-
-    def test_phi_pinned_low(self):
-        est = mle_closed_form(np.array([800, 100, 0, 100]), 1)
-        assert est.phi_hat == 0.0
-        assert est.status == "boundary"
-
-    def test_phi_pinned_high(self):
-        est = mle_closed_form(np.array([800, 100, 100, 0]), 2)
-        assert est.phi_hat == np.pi / 4
-        assert est.status == "boundary"
-
-    def test_theta_pinned_at_box_edge(self):
-        # s_hat = (2 n2 + n34) / (2M) > 1/2 pins theta to pi/(2N)
-        est = mle_closed_form(np.array([0, 900, 50, 50]), 1)
-        assert est.theta_hat == np.pi / 2
-        assert est.status == "boundary"
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            mle_closed_form(np.array([0, 0, 0, 0]), 1)
+    @pytest.mark.parametrize(
+        "counts, n_iter, theta, phi, code, tol", MLE_FIXED_POINTS.values(), ids=MLE_FIXED_POINTS
+    )
+    def test_fixed_point(self, counts, n_iter, theta, phi, code, tol):
+        thetas, phis, status = mle_closed_form_batch(np.array([counts]), n_iter)
+        assert status[0] == code
+        for estimate, expected in ((thetas[0], theta), (phis[0], phi)):
+            if expected is not None:
+                assert abs(estimate - expected) <= tol
 
     def test_is_stationary_point_of_loglik(self):
         rng = np.random.default_rng(21)
         h = 1e-5
         for _ in range(25):
             counts = sampled_counts_all_ports_positive(rng)
-            est = mle_closed_form(counts, 1)
-            assert est.status == "ok"
+            (theta,), (phi,), (code,) = mle_closed_form_batch(counts[None, :], 1)
+            assert code == STATUS_OK
             total = counts.sum()
             grad_t = (
-                loglik(counts, est.theta_hat + h, est.phi_hat, 1)
-                - loglik(counts, est.theta_hat - h, est.phi_hat, 1)
+                loglik(counts, theta + h, phi, 1) - loglik(counts, theta - h, phi, 1)
             ) / (2 * h)
             grad_p = (
-                loglik(counts, est.theta_hat, est.phi_hat + h, 1)
-                - loglik(counts, est.theta_hat, est.phi_hat - h, 1)
+                loglik(counts, theta, phi + h, 1) - loglik(counts, theta, phi - h, 1)
             ) / (2 * h)
             assert np.hypot(grad_t, grad_p) < 1e-6 * total
 
@@ -251,24 +225,24 @@ class TestMleGrid:
             tol = 2 * (np.pi / (2 * n_iter)) / 128
             for _ in range(20):
                 counts = sampled_counts_all_ports_positive(rng, n_iter)
-                closed = mle_closed_form(counts, n_iter)
-                grid = mle_grid(counts, n_iter, resolution=128)
-                assert abs(grid.theta_hat - closed.theta_hat) < tol
-                assert abs(grid.phi_hat - closed.phi_hat) < tol
+                (theta,), (phi,), _ = mle_closed_form_batch(counts[None, :], n_iter)
+                grid_theta, grid_phi, _ = mle_grid(counts, n_iter, resolution=128)
+                assert abs(grid_theta - theta) < tol
+                assert abs(grid_phi - phi) < tol
 
     def test_all_counts_in_port_one(self):
         # the log-likelihood is numerically flat within ~1e-7 of theta = 0
-        est = mle_grid(np.array([500, 0, 0, 0]), 1, resolution=64)
-        assert est.theta_hat < 1e-6
-        assert est.status == "phi-unidentifiable"
+        theta, _, code = mle_grid(np.array([500, 0, 0, 0]), 1, resolution=64)
+        assert theta < 1e-6
+        assert code == STATUS_FAILED
 
     def test_recovers_truth_from_expected_counts(self):
         # exact frequencies maximize the likelihood at the truth
         for theta, phi, n_iter in ((0.6, 0.9, 1), (0.2, 0.11, 3)):
             expected = 10**4 * outcome_probabilities(theta, phi, n_iter)
-            est = mle_grid(expected, n_iter, resolution=256)
-            assert abs(est.theta_hat - theta) < 1e-6
-            assert abs(est.phi_hat - phi) < 1e-6
+            theta_hat, phi_hat, _ = mle_grid(expected, n_iter, resolution=256)
+            assert abs(theta_hat - theta) < 1e-6
+            assert abs(phi_hat - phi) < 1e-6
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
@@ -363,24 +337,21 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("case", CAMPAIGNS)
     def test_matches_per_trial_loop(self, case):
-        # reference: one generator, one sample_counts and one scalar MLE per trial
+        # reference: one generator, one sample_counts and one one-row MLE per trial
         config, resample = campaign_config(case), case[-1]
         probs = outcome_probabilities(config.theta_true, config.phi_true, config.n_iter)
         thetas, phis, statuses = [], [], []
         for trial in range(config.repeats):
             rng = trial_rng(config.seed, trial, resample)
             counts = sample_counts(probs, config.shots, config.noise_model, rng)
-            if counts.sum() == 0:
-                statuses.append("phi-unidentifiable")
-                continue
-            est = mle_closed_form(counts, config.n_iter)
-            statuses.append(est.status)
-            if est.status != "phi-unidentifiable":
-                thetas.append(est.theta_hat)
-                phis.append(est.phi_hat)
+            (theta,), (phi,), (code,) = mle_closed_form_batch(counts[None, :], config.n_iter)
+            statuses.append(code)
+            if code != STATUS_FAILED:
+                thetas.append(theta)
+                phis.append(phi)
         stats = run_trials(config, resample)
         assert (stats.n_ok, stats.n_boundary, stats.n_failed) == tuple(
-            statuses.count(s) for s in ("ok", "boundary", "phi-unidentifiable")
+            statuses.count(code) for code in (STATUS_OK, STATUS_BOUNDARY, STATUS_FAILED)
         )
         thetas, phis = np.array(thetas), np.array(phis)
         assert stats.m_times_mse_theta == config.shots * np.mean((thetas - config.theta_true) ** 2)

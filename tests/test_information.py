@@ -8,12 +8,10 @@ import pytest
 from loem import (
     CurvatureConsistencyError,
     DivergentInformationError,
-    SingularBoundError,
     StateFamily,
     antiparallel_family,
     antiparallel_qfim_closed,
     average_qfim,
-    crb_bound,
     derivatives,
     fim,
     generator_unitary,
@@ -270,26 +268,6 @@ class TestFim:
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
             fim(lambda x: np.array([0.5, 0.4]), np.array([0.1]))
-
-
-class TestCrbBound:
-    def test_diagonal_inverse(self):
-        bound = crb_bound(np.diag([2.0, 2.0]), 1)
-        assert np.allclose(bound, np.diag([0.5, 0.5]), atol=1e-14)
-
-    def test_scaling_with_shots(self):
-        # 1/(2e4) = 5.0e-5 and 1/(2e4 sin^2 10 deg) = 1.658e-3
-        theta = np.radians(10.0)
-        bound = crb_bound(np.diag([2.0, 2.0 * np.sin(theta) ** 2]), 10**4)
-        assert np.allclose(bound[0, 0], 5.0e-5, rtol=1e-12)
-        assert np.allclose(bound[1, 1], 1.658e-3, rtol=1e-3)
-        assert np.allclose(bound[1, 1], 1.0 / (2e4 * np.sin(theta) ** 2), rtol=1e-12)
-
-    def test_singular_names_phi(self):
-        with pytest.raises(SingularBoundError) as excinfo:
-            crb_bound(np.diag([2.0, 0.0]), 1, names=("theta", "phi"))
-        assert excinfo.value.parameter_index == 1
-        assert "phi" in str(excinfo.value)
 
     def test_classical_bound_never_below_quantum(self):
         # equality case: eigenvalues of F^-1 - Q^-1 stay above -1e-8

@@ -8,7 +8,6 @@ import pytest
 from loem import (
     DerivativeError,
     StateFamily,
-    check_state,
     check_unitary,
     derivatives,
     qubit_family,
@@ -138,13 +137,6 @@ class TestDerivatives:
 
 
 class TestValidators:
-    def test_check_state_accepts_normalized(self):
-        check_state(np.array([0.6, 0.8j]))
-
-    def test_check_state_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            check_state(np.array([1.0, 1.0]))
-
     def test_check_unitary_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             check_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
