@@ -362,13 +362,13 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    ValueError (a malformed command line or a value the library rejects) and
-    OverflowError (an integer too large for a float or a C integer) exit 1,
-    LoemError (numerical degeneracy) 2 and OSError 3.
+    ValueError (a malformed command line or a value the library rejects),
+    OverflowError and MemoryError (a number too large to compute with or to
+    allocate) exit 1, LoemError (numerical degeneracy) 2 and OSError 3.
     """
     try:
         return execute(parse_args(sys.argv[1:] if argv is None else list(argv)))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         return _fail(exc, EXIT_USAGE)
     except LoemError as exc:
         return _fail(exc, EXIT_NUMERICAL)

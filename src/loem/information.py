@@ -36,8 +36,8 @@ _CONSISTENCY_TOL = 1e-8
 def _check_pair(state: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state = np.asarray(state, dtype=complex)
     jac = np.asarray(jac, dtype=complex)
-    if jac.ndim != 2 or jac.shape[0] != state.shape[0]:
-        raise ValueError(f"jacobian shape {jac.shape} does not match state dimension {state.shape[0]}")
+    if state.ndim < 1 or jac.shape[:-1] != state.shape:
+        raise ValueError(f"jacobian shape {jac.shape} does not match state shape {state.shape}")
     return state, jac
 
 
@@ -45,14 +45,15 @@ def _check_pair(state: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndar
 def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """QFIM of a normalized pure state from its parameter Jacobian.
 
-    Q_ij = 4 Re(<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>).  A
-    non-finite result raises DivergentInformationError.
+    Q_ij = 4 Re(<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>), (..., P, P)
+    for states (..., dim); a non-finite result raises DivergentInformationError.
     """
     state, jac = _check_pair(state, jac)
-    gram = jac.conj().T @ jac
-    overlap = jac.conj().T @ state  # entry i: <d_i psi|psi>
-    q = 4.0 * np.real(gram - np.outer(overlap, overlap.conj()))
-    q = 0.5 * (q + q.T)
+    jac_h = jac.conj().swapaxes(-1, -2)
+    gram = jac_h @ jac
+    overlap = (jac_h @ state[..., None])[..., 0]  # entry i: <d_i psi|psi>
+    q = 4.0 * np.real(gram - overlap[..., :, None] * overlap.conj()[..., None, :])
+    q = 0.5 * (q + q.swapaxes(-1, -2))
     if not np.isfinite(q).all():
         raise DivergentInformationError("QFIM overflows: the Jacobian is too large")
     return q
@@ -84,9 +85,12 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     noise, which grows with the Jacobian.  A non-finite tolerance or result
     raises DivergentInformationError.
 
-    The returned matrix is exactly antisymmetric with zero diagonal.
+    One point only (a batch raises ValueError); the returned matrix is
+    exactly antisymmetric with zero diagonal.
     """
     state, jac = _check_pair(state, jac)
+    if state.ndim != 1:
+        raise ValueError(f"uhlmann_curvature takes one state, got shape {state.shape}")
     m = jac.shape[1]
     applied = [_sld_applied(state, jac[:, i]) for i in range(m)]
     tol = _CONSISTENCY_TOL * max([1.0] + [np.vdot(jac[:, i], jac[:, i]).real for i in range(m)])
@@ -129,16 +133,13 @@ def fim(model: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     p0 = check_probabilities(model(x))
     m = x.shape[0]
     dp = np.column_stack([central_difference(lambda y: check_probabilities(model(y)), x, i) for i in range(m)])
-    f = np.zeros((m, m))
-    for k in range(p0.shape[0]):
-        if p0[k] < _PROB_FLOOR:
-            if np.max(np.abs(dp[k])) < _DERIV_FLOOR:
-                continue
-            raise DivergentInformationError(
-                f"outcome {k}: P = {p0[k]:.3e} but |dP| = {np.max(np.abs(dp[k])):.3e}; "
-                "Fisher information diverges at this point"
-            )
-        f += np.outer(dp[k], dp[k]) / p0[k]
+    kept = p0 >= _PROB_FLOOR
+    slope = np.max(np.abs(dp), axis=1)
+    for k in np.flatnonzero(~kept & (slope >= _DERIV_FLOOR))[:1]:
+        raise DivergentInformationError(
+            f"outcome {k}: P = {p0[k]:.3e} but |dP| = {slope[k]:.3e}; Fisher information diverges at this point"
+        )
+    f = (dp[kept].T / p0[kept]) @ dp[kept]
     return 0.5 * (f + f.T)
 
 
@@ -151,8 +152,8 @@ def average_qfim(
     """Monte Carlo mean of the QFIM over a uniform prior on a parameter box.
 
     Points are drawn up front from a counter-based Philox stream keyed by
-    ``rng_seed``, so the result depends only on (seed, samples), not on how
-    the evaluation is scheduled.
+    ``rng_seed``, so the result depends only on (seed, samples), and the
+    family evaluates all of them in one batched call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -161,7 +162,4 @@ def average_qfim(
         raise ValueError(f"box must have shape ({family.n_params}, 2), got {box_arr.shape}")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     points = rng.uniform(box_arr[:, 0], box_arr[:, 1], size=(samples, family.n_params))
-    acc = np.zeros((family.n_params, family.n_params))
-    for point in points:
-        acc += qfim_pure(family.evaluate(point), derivatives(family, point))
-    return acc / samples
+    return qfim_pure(family.evaluate(points), derivatives(family, points)).mean(axis=0)

@@ -47,8 +47,8 @@ def loem_state(unitary_family: UnitaryFamily, x: np.ndarray, probes: np.ndarray)
     probes = np.asarray(probes, dtype=complex)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = check_unitary(unitary_family(x))
-    if u.shape != (probes.shape[1], probes.shape[1]):
-        raise ValueError(f"unitary shape {u.shape} does not match probe dimension {probes.shape[1]}")
+    if u.shape[-2:] != (probes.shape[1], probes.shape[1]):
+        raise ValueError(f"unitary shape {u.shape[-2:]} does not match probe dimension {probes.shape[1]}")
     return tensor_product([u @ probe for probe in probes])
 
 
@@ -66,8 +66,8 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
 def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
     """Unitary family U(x) = exp(-i sum_k x_k G_k) for Hermitian generators G_k.
 
-    The exponential is evaluated by eigendecomposition of the (Hermitian)
-    weighted sum.
+    Points x (..., P) give unitaries (..., d, d).  The exponential is
+    evaluated by eigendecomposition of the (Hermitian) weighted sum.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -77,9 +77,9 @@ def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
             raise ValueError(f"generator {k} is not Hermitian")
 
     def unitary(x: np.ndarray) -> np.ndarray:
-        h = np.tensordot(np.asarray(x, dtype=float), gens, axes=1)
+        h = (np.asarray(x, dtype=float)[..., :, None, None] * gens).sum(axis=-3)
         vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+        return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
     return unitary
 
@@ -95,10 +95,10 @@ def _amplified(n_iter: int, theta, phi):
     return a, b
 
 
-def antiparallel_state(theta: float, phi: float, n_iter: int = 1) -> np.ndarray:
+def antiparallel_state(theta: float | np.ndarray, phi: float | np.ndarray, n_iter: int = 1) -> np.ndarray:
     """U(N theta, N phi)|0> (x) U(N theta, N phi)|1> in basis |00>,|01>,|10>,|11>."""
     u = qubit_unitary(*_amplified(n_iter, theta, phi))
-    return np.kron(u[:, 0], u[:, 1])
+    return tensor_product([u[..., :, 0], u[..., :, 1]])
 
 
 def antiparallel_family(n_iter: int = 1) -> StateFamily:
@@ -108,15 +108,16 @@ def antiparallel_family(n_iter: int = 1) -> StateFamily:
     n = float(n_iter)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        return antiparallel_state(x[0], x[1], n_iter)
+        return antiparallel_state(x[..., 0], x[..., 1], n_iter)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        a, b = n * x[0], n * x[1]
+        a, b = n * x[..., 0], n * x[..., 1]
         sa, ca = np.sin(a), np.cos(a)
         phase = np.exp(1j * b)
-        d_a = 0.5 * np.array([-ca / phase, -sa, -sa, ca * phase])
-        d_b = 0.5j * sa * np.array([1.0 / phase, 0.0, 0.0, phase])
-        return np.column_stack([n * d_a, n * d_b])
+        zero = np.zeros_like(sa)
+        d_a = 0.5 * np.stack([-ca / phase, -sa, -sa, ca * phase], axis=-1)
+        d_b = 0.5j * sa[..., None] * np.stack([1.0 / phase, zero, zero, phase], axis=-1)
+        return np.stack([n * d_a, n * d_b], axis=-1)
 
     return StateFamily(dim=4, n_params=2, evaluate=evaluate, jacobian=jacobian)
 
@@ -127,13 +128,13 @@ def identical_pair_family() -> StateFamily:
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         psi = base.evaluate(x)
-        return np.kron(psi, psi)
+        return tensor_product([psi, psi])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         psi = base.evaluate(x)
         jac = base.jacobian(x)
-        cols = [np.kron(jac[:, i], psi) + np.kron(psi, jac[:, i]) for i in range(2)]
-        return np.column_stack(cols)
+        cols = [tensor_product([jac[..., i], psi]) + tensor_product([psi, jac[..., i]]) for i in range(2)]
+        return np.stack(cols, axis=-1)
 
     return StateFamily(dim=4, n_params=2, evaluate=evaluate, jacobian=jacobian)
 

@@ -1,15 +1,14 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-States are plain 1-D complex ndarrays, unitaries are 2-D complex ndarrays.
-Parameterized families bundle an evaluation map with either an analytic
-Jacobian or a central-difference rule, and every operation here is a pure
-function of its inputs.
+States are complex ndarrays (..., dim), unitaries (..., d, d); leading axes
+index a batch of points.  Parameterized families bundle an evaluation map
+with either an analytic Jacobian or a central-difference rule, and every
+operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,11 +33,11 @@ DEFAULT_STEP = 1e-5
 
 
 def check_unitary(u: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate U†U = I entrywise and return U as complex128."""
+    """Validate U†U = I entrywise for U or a stack (..., d, d); return it as complex128."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("unitary must be a square matrix")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))
     if defect > atol:
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
     return u
@@ -58,33 +57,36 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
-def qubit_unitary(theta: float, phi: float) -> np.ndarray:
+def qubit_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
     """Rotation taking |0> to cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
-    Angles are radians; any real value is accepted, periodicity is handled
-    by the trigonometry.
+    Angles are radians broadcasting to shape (...), giving (..., 2, 2); any
+    real value is accepted, periodicity is handled by the trigonometry.
     """
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    phase = np.exp(1j * phi)
-    return np.array([[c, -s / phase], [s * phase, c]])
+    c, s, phase = np.broadcast_arrays(np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi))
+    return np.stack([np.stack([c, -s / phase], axis=-1), np.stack([s * phase, c], axis=-1)], axis=-2)
 
 
 def tensor_product(states: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of state vectors, first factor most significant."""
+    """Kronecker product of state vectors (..., d_k), first factor most significant."""
     if len(states) == 0:
         raise ValueError("tensor_product requires at least one state")
-    return reduce(np.kron, [np.asarray(s, dtype=complex) for s in states])
+    out = np.asarray(states[0], dtype=complex)
+    for state in states[1:]:
+        out = out[..., :, None] * np.asarray(state, dtype=complex)[..., None, :]
+        out = out.reshape(out.shape[:-2] + (-1,))
+    return out
 
 
 @dataclass(frozen=True)
 class StateFamily:
     """A parameterized family x -> |psi(x)> of normalized states.
 
-    ``evaluate`` must be a deterministic function of x (no random global
-    phase): imaginary parts of derivative overlaps are only meaningful in a
-    smooth gauge.  When ``jacobian`` is None, derivatives are taken by
-    central differences with step DEFAULT_STEP.
+    Points (..., n_params) map to states (..., dim) and Jacobians (..., dim,
+    n_params); a 1-D point has no leading axes.  ``evaluate`` must be
+    deterministic (no random global phase): imaginary parts of derivative
+    overlaps are only meaningful in a smooth gauge.  Without ``jacobian``,
+    derivatives are central differences with step DEFAULT_STEP.
     """
 
     dim: int
@@ -94,32 +96,32 @@ class StateFamily:
 
 
 def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, i: int) -> np.ndarray:
-    """Central-difference derivative of f along parameter i at x, step DEFAULT_STEP."""
+    """Central-difference derivative of f along parameter i at points x (..., P)."""
     e = np.zeros_like(x)
-    e[i] = DEFAULT_STEP
+    e[..., i] = DEFAULT_STEP
     return (f(x + e) - f(x - e)) / (2 * DEFAULT_STEP)
 
 
 def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the family at x, one column per parameter.
+    """Jacobian of the family at points x (..., n_params), one column per parameter.
 
-    Returns a (dim, n_params) complex array whose column i approximates
+    Returns a (..., dim, n_params) complex array whose column i approximates
     d|psi>/dx_i in the family's fixed phase convention (no per-call phase
     renormalization).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (family.n_params,):
+    if x.shape[-1] != family.n_params:
         raise ValueError(f"expected {family.n_params} parameters, got shape {x.shape}")
     if family.jacobian is not None:
         jac = np.asarray(family.jacobian(x), dtype=complex)
     else:
-        jac = np.column_stack(
-            [central_difference(family.evaluate, x, i) for i in range(family.n_params)]
-        )
-    if jac.shape != (family.dim, family.n_params):
-        raise ValueError(f"jacobian has shape {jac.shape}, expected {(family.dim, family.n_params)}")
-    if not np.all(np.isfinite(jac)):
-        raise DerivativeError(f"non-finite derivative amplitudes at x = {x.tolist()}")
+        jac = np.stack([central_difference(family.evaluate, x, i) for i in range(family.n_params)], axis=-1)
+    expected = x.shape[:-1] + (family.dim, family.n_params)
+    if jac.shape != expected:
+        raise ValueError(f"jacobian has shape {jac.shape}, expected {expected}")
+    finite = np.isfinite(jac).all(axis=(-2, -1))
+    if not finite.all():
+        raise DerivativeError(f"non-finite derivative amplitudes at x = {x[~finite][0].tolist()}")
     return jac
 
 
@@ -127,27 +129,26 @@ def qubit_family() -> StateFamily:
     """Family (theta, phi) -> cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        theta, phi = x
-        return np.array([np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)])
+        return qubit_unitary(x[..., 0], x[..., 1])[..., :, 0]
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        theta, phi = x
+        theta, phi = x[..., 0], x[..., 1]
         phase = np.exp(1j * phi)
-        d_theta = np.array([-0.5 * np.sin(0.5 * theta), 0.5 * phase * np.cos(0.5 * theta)])
-        d_phi = np.array([0.0, 1j * phase * np.sin(0.5 * theta)])
-        return np.column_stack([d_theta, d_phi])
+        d_theta = np.stack([-0.5 * np.sin(0.5 * theta), 0.5 * phase * np.cos(0.5 * theta)], axis=-1)
+        d_phi = np.stack([np.zeros_like(phase), 1j * phase * np.sin(0.5 * theta)], axis=-1)
+        return np.stack([d_theta, d_phi], axis=-1)
 
     return StateFamily(dim=2, n_params=2, evaluate=evaluate, jacobian=jacobian)
 
 
-def phase_shifted_family(family: StateFamily, alpha: Callable[[np.ndarray], float]) -> StateFamily:
+def phase_shifted_family(family: StateFamily, alpha: Callable[[np.ndarray], np.ndarray]) -> StateFamily:
     """Multiply a family by the smooth global phase e^{i alpha(x)}.
 
-    Used to exercise gauge invariance of information quantities; derivatives
-    of the result are always taken by central differences.
+    ``alpha`` maps points (..., P) to phases (...).  Used to exercise gauge
+    invariance; derivatives of the result are taken by central differences.
     """
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        return np.exp(1j * alpha(x)) * family.evaluate(x)
+        return np.exp(1j * alpha(x))[..., None] * family.evaluate(x)
 
     return StateFamily(dim=family.dim, n_params=family.n_params, evaluate=evaluate)

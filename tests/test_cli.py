@@ -342,6 +342,9 @@ def one_error_line(err: str) -> bool:
 # range length).
 HUGE_N = str(10**400)
 OVERFLOWING_N = str(10**160)  # N * angle is finite, its squared derivative is not
+# 10^14 repeats need 2.84 PiB of counts, beyond any 48-bit address space, so
+# the allocation is refused without touching memory.
+HUGE_REPEATS = str(10**14)
 
 
 def case_id(args: list[str]) -> str:
@@ -372,6 +375,8 @@ REJECTED_VALUES = [
     ["simulate", "--phi-deg", "36", "--n", HUGE_N],
     ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", HUGE_N],
     ["simulate", "--phi-deg", "36", "--shots", "100000000000000000000"],
+    ["simulate", "--theta-deg", "10", "--phi-deg", "36", "--repeats", HUGE_REPEATS, "--resamples", "0"],
+    ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--repeats", HUGE_REPEATS],
 ]
 
 

@@ -26,6 +26,7 @@ from loem import (
     uhlmann_curvature,
     wcc_holds,
 )
+from loem.quantum import central_difference
 
 
 def random_state(rng, dim):
@@ -269,6 +270,24 @@ class TestFim:
         with pytest.raises(ValueError):
             fim(lambda x: np.array([0.5, 0.4]), np.array([0.1]))
 
+    def test_matches_per_outcome_sum(self):
+        # reference: the per-outcome loop fim replaced, skipping the port
+        # that is identically zero; only the summation order differs
+        def model(x):
+            s, c = np.sin(x[0]) ** 2, np.cos(x[0]) ** 2
+            return np.array([s * np.cos(x[1]) ** 2, s * np.sin(x[1]) ** 2, c, 0.0])
+
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            x = rng.uniform(0.2, 1.3, size=2)
+            p0 = model(x)
+            dp = np.column_stack([central_difference(model, x, i) for i in range(2)])
+            ref = np.zeros((2, 2))
+            for k in range(3):
+                ref += np.outer(dp[k], dp[k]) / p0[k]
+            ref = 0.5 * (ref + ref.T)
+            assert np.max(np.abs(fim(model, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_classical_bound_never_below_quantum(self):
         # equality case: eigenvalues of F^-1 - Q^-1 stay above -1e-8
         rng = np.random.default_rng(10)
@@ -313,3 +332,71 @@ class TestAverageQfim:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             average_qfim(qubit_family(), self.BOX, samples=0, rng_seed=1)
+
+
+def generator_family(d):
+    rng = np.random.default_rng(60 + d)
+    gens = []
+    for _ in range(2):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gens.append(g + g.conj().T)
+    return loem_family(generator_unitary(gens), 2, orthogonal_probes(d))
+
+
+BATCH_FAMILIES = {
+    "qubit": qubit_family,
+    "antiparallel-1": lambda: antiparallel_family(1),
+    "antiparallel-3": lambda: antiparallel_family(3),
+    "identical-pair": identical_pair_family,
+    "phase-shifted": lambda: phase_shifted_family(qubit_family(), lambda x: x[..., 0] + 2.0 * x[..., 1]),
+    "generator-d2": lambda: generator_family(2),
+    "generator-d3": lambda: generator_family(3),
+    "generator-d4": lambda: generator_family(4),
+}
+
+
+@pytest.mark.parametrize("make_family", BATCH_FAMILIES.values(), ids=BATCH_FAMILIES.keys())
+class TestBatchContract:
+    """Points (K, P) give states (K, dim), Jacobians (K, dim, P) and QFIMs (K, P, P)."""
+
+    BOX = ((0.1, 0.5), (0.1, 0.5))  # inside every family's identifiable box
+
+    def points(self, k=9):
+        return np.random.default_rng(61).uniform(0.1, 0.5, size=(k, 2))
+
+    def test_batch_equals_per_point_calls(self, make_family):
+        family = make_family()
+        points = self.points()
+        states = family.evaluate(points)
+        jacs = derivatives(family, points)
+        qfims = qfim_pure(states, jacs)
+        assert states.shape == (9, family.dim)
+        assert jacs.shape == (9, family.dim, 2)
+        assert qfims.shape == (9, 2, 2)
+        for k, point in enumerate(points):
+            state, jac = family.evaluate(point), derivatives(family, point)
+            assert np.array_equal(states[k], state)
+            assert np.array_equal(jacs[k], jac)
+            assert np.array_equal(qfims[k], qfim_pure(state, jac))
+
+    def test_average_matches_pointwise_loop(self, make_family):
+        family = make_family()
+        avg = average_qfim(family, self.BOX, samples=64, rng_seed=62)
+        # reference: the per-point accumulation average_qfim replaced; the
+        # mean over axis 0 adds the points in the same order, so bits agree
+        rng = np.random.Generator(np.random.Philox(key=62))
+        points = rng.uniform([0.1, 0.1], [0.5, 0.5], size=(64, 2))
+        acc = np.zeros((2, 2))
+        for point in points:
+            acc += qfim_pure(family.evaluate(point), derivatives(family, point))
+        assert np.array_equal(avg, acc / 64)
+
+    def test_curvature_rejects_batch(self, make_family):
+        family = make_family()
+        points = self.points(3)
+        with pytest.raises(ValueError):
+            uhlmann_curvature(family.evaluate(points), derivatives(family, points))
+
+    def test_wrong_last_axis_rejected(self, make_family):
+        with pytest.raises(ValueError):
+            derivatives(make_family(), np.full((4, 3), 0.2))
