@@ -304,7 +304,7 @@ def _run_heisenberg(args) -> list[list]:
     points = heisenberg_sweep(
         theta=math.radians(args.theta_deg),
         phi=math.radians(args.phi_deg),
-        n_list=list(range(1, args.n_max + 1)),
+        n_list=range(1, args.n_max + 1),
         shots=args.shots,
         repeats=args.repeats,
         seed=args.seed,

@@ -78,10 +78,10 @@ class TrialConfig:
                     f"{name} = {float(value)!r} rad ({np.degrees(value):g} deg) violates "
                     f"0 <= angle < pi/(2N) = {limit!r} rad ({np.degrees(limit):g} deg) for N = {self.n_iter}"
                 )
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots!r}")
-        if self.repeats < 2:
-            raise ValueError(f"repeats must be >= 2, got {self.repeats!r}")
+        if not 1 <= self.shots < 2**63:
+            raise ValueError(f"shots must be in [1, 2**63), got {self.shots!r}")
+        if not 2 <= self.repeats < 2**63:
+            raise ValueError(f"repeats must be in [2, 2**63), got {self.repeats!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.noise_model not in NOISE_MODELS:
@@ -416,12 +416,12 @@ def heisenberg_sweep(
     The shot-noise reference treats N iterations as N independent single-pass
     uses: M x MSE_SNL(theta) = 1/(2N), M x MSE_SNL(phi) = 1/(2N sin^2(N theta)).
     """
-    # Every TrialConfig is built, and so validated, before any campaign runs.
-    configs = [TrialConfig(theta, phi, int(n), shots, repeats, seed) for n in n_list]
+    # Every N is validated before any campaign runs; keeping no config bounds a long sweep's memory.
+    for n in n_list:
+        TrialConfig(theta, phi, int(n), shots, repeats, seed)
     points = []
-    for config in configs:
-        n = config.n_iter
-        stats = run_trials(config)
+    for n in map(int, n_list):
+        stats = run_trials(TrialConfig(theta, phi, n, shots, repeats, seed))
         sin_sq = float(np.sin(n * theta) ** 2)
         snl_phi = 1.0 / (2.0 * n * sin_sq)
         points.append(SweepPoint(n_iter=n, stats=stats, snl_theta=1.0 / (2.0 * n), snl_phi=snl_phi))

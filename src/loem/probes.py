@@ -13,11 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import StateFamily, check_unitary, qubit_family, qubit_unitary, tensor_product
+from .quantum import StateFamily, check_unitary, qubit_rotation, qubit_unitary, tensor_product
 
 __all__ = [
     "orthogonal_probes",
-    "loem_state",
     "loem_family",
     "generator_unitary",
     "antiparallel_state",
@@ -29,7 +28,8 @@ __all__ = [
     "antiparallel_qfim_closed",
 ]
 
-UnitaryFamily = Callable[[np.ndarray], np.ndarray]
+# Points x (..., P) -> U(x) (..., d, d) and dU/dx_k stacked as (..., P, d, d).
+UnitaryFamily = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 # Composite dimension d^d is capped at 6^6 = 46656.
 _MAX_PROBE_DIM = 6
@@ -42,32 +42,38 @@ def orthogonal_probes(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex)
 
 
-def loem_state(unitary_family: UnitaryFamily, x: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Tensor product of U(x) applied to each probe, first probe most significant."""
-    probes = np.asarray(probes, dtype=complex)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = check_unitary(unitary_family(x))
-    if u.shape[-2:] != (probes.shape[1], probes.shape[1]):
-        raise ValueError(f"unitary shape {u.shape[-2:]} does not match probe dimension {probes.shape[1]}")
-    return tensor_product([u @ probe for probe in probes])
-
-
 def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray) -> StateFamily:
-    """StateFamily wrapping loem_state; derivatives by central differences."""
+    """Family x -> tensor product of U(x)|p_k>, first probe most significant, with exact Jacobian."""
     probes = np.asarray(probes, dtype=complex)
-    dim = probes.shape[1] ** probes.shape[0]
-    return StateFamily(
-        dim=dim,
-        n_params=n_params,
-        evaluate=lambda x: loem_state(unitary_family, x, probes),
-    )
+    d = probes.shape[1]
+
+    def applied(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        u, du = unitary_family(np.atleast_1d(np.asarray(x, dtype=float)))
+        u = check_unitary(u)
+        if u.shape[-2:] != (d, d):
+            raise ValueError(f"unitary shape {u.shape[-2:]} does not match probe dimension {d}")
+        return [(u @ probe, du @ probe) for probe in probes]
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        return tensor_product([a for a, _ in applied(x)])
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        # d(s (x) a) = ds (x) a + s (x) da, keeping the parameter axis of ds (..., P, D) outside
+        (state, jac), *rest = applied(x)
+        for a, da in rest:
+            jac = tensor_product([jac, a[..., None, :]])
+            jac += tensor_product([state[..., None, :], da])
+            state = tensor_product([state, a])
+        return jac.swapaxes(-1, -2)
+
+    return StateFamily(dim=d ** len(probes), n_params=n_params, evaluate=evaluate, jacobian=jacobian)
 
 
 def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
     """Unitary family U(x) = exp(-i sum_k x_k G_k) for Hermitian generators G_k.
 
-    Points x (..., P) give unitaries (..., d, d).  The exponential is
-    evaluated by eigendecomposition of the (Hermitian) weighted sum.
+    dU/dx_k = V (D o V† G_k V) V† for H = V diag(l) V†, where the divided differences of e^{-il}
+    (Daleckii-Krein) D_ab = -i e^{-i(l_a+l_b)/2} sinc((l_a-l_b)/2pi) need no branch for equal l.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -76,10 +82,14 @@ def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
         if np.max(np.abs(g - g.conj().T)) > 1e-12:
             raise ValueError(f"generator {k} is not Hermitian")
 
-    def unitary(x: np.ndarray) -> np.ndarray:
+    def unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = (np.asarray(x, dtype=float)[..., :, None, None] * gens).sum(axis=-3)
         vals, vecs = np.linalg.eigh(h)
-        return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        la, lb = vals[..., None, :, None], vals[..., None, None, :]
+        dd = -1j * np.exp(-0.5j * (la + lb)) * np.sinc((la - lb) / (2 * np.pi))
+        v = vecs[..., None, :, :]  # V with a parameter axis
+        du = v @ (dd * (v.conj().swapaxes(-1, -2) @ gens @ v)) @ v.conj().swapaxes(-1, -2)
+        return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2), du
 
     return unitary
 
@@ -89,7 +99,10 @@ def _amplified(n_iter: int, theta, phi):
     """(N theta, N phi), which must be finite: sin and cos of inf are NaN."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    a, b = n_iter * theta, n_iter * phi
+    try:
+        a, b = n_iter * theta, n_iter * phi
+    except OverflowError:  # N is beyond the float range
+        a = b = np.inf
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError(f"N * angle is not finite for N = {n_iter}")
     return a, b
@@ -102,41 +115,20 @@ def antiparallel_state(theta: float | np.ndarray, phi: float | np.ndarray, n_ite
 
 
 def antiparallel_family(n_iter: int = 1) -> StateFamily:
-    """Antiparallel-pair family of (theta, phi) with analytic derivatives."""
+    """Antiparallel-pair family of (theta, phi): U(N x) on the probes |0>, |1>."""
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    n = float(n_iter)
 
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return antiparallel_state(x[..., 0], x[..., 1], n_iter)
+    def unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u, du = qubit_rotation(np.stack(_amplified(n_iter, x[..., 0], x[..., 1]), axis=-1))
+        return u, float(n_iter) * du
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        a, b = n * x[..., 0], n * x[..., 1]
-        sa, ca = np.sin(a), np.cos(a)
-        phase = np.exp(1j * b)
-        zero = np.zeros_like(sa)
-        d_a = 0.5 * np.stack([-ca / phase, -sa, -sa, ca * phase], axis=-1)
-        d_b = 0.5j * sa[..., None] * np.stack([1.0 / phase, zero, zero, phase], axis=-1)
-        return np.stack([n * d_a, n * d_b], axis=-1)
-
-    return StateFamily(dim=4, n_params=2, evaluate=evaluate, jacobian=jacobian)
+    return loem_family(unitary, 2, orthogonal_probes(2))
 
 
 def identical_pair_family() -> StateFamily:
     """Two identical copies |n>(x)|n> of the qubit state, for contrast tests."""
-    base = qubit_family()
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        psi = base.evaluate(x)
-        return tensor_product([psi, psi])
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        psi = base.evaluate(x)
-        jac = base.jacobian(x)
-        cols = [tensor_product([jac[..., i], psi]) + tensor_product([psi, jac[..., i]]) for i in range(2)]
-        return np.stack(cols, axis=-1)
-
-    return StateFamily(dim=4, n_params=2, evaluate=evaluate, jacobian=jacobian)
+    return loem_family(qubit_rotation, 2, orthogonal_probes(2)[[0, 0]])
 
 
 def bell_like_basis() -> np.ndarray:

@@ -19,6 +19,7 @@ __all__ = [
     "check_unitary",
     "check_probabilities",
     "qubit_unitary",
+    "qubit_rotation",
     "tensor_product",
     "StateFamily",
     "derivatives",
@@ -30,15 +31,16 @@ __all__ = [
 #: cancellation at double precision; validated against analytic qubit
 #: derivatives in the test suite.
 DEFAULT_STEP = 1e-5
+_UNITARY_ATOL = 1e-12
 
 
-def check_unitary(u: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate U†U = I entrywise for U or a stack (..., d, d); return it as complex128."""
+def check_unitary(u: np.ndarray) -> np.ndarray:
+    """Validate U†U = I to _UNITARY_ATOL (NaN fails) for U or a stack (..., d, d); return it as complex128."""
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("unitary must be a square matrix")
     defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))
-    if defect > atol:
+    if not defect <= _UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
     return u
 
@@ -65,6 +67,16 @@ def qubit_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndar
     """
     c, s, phase = np.broadcast_arrays(np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi))
     return np.stack([np.stack([c, -s / phase], axis=-1), np.stack([s * phase, c], axis=-1)], axis=-2)
+
+
+def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qubit_unitary as a unitary family: points (..., 2) give U (..., 2, 2) and dU/dx_k (..., 2, 2, 2)."""
+    c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
+    zero = np.zeros_like(phase)
+    d_theta = [-0.5 * s, -0.5 * c / phase, 0.5 * phase * c, -0.5 * s]
+    d_phi = [zero, 1j * s / phase, 1j * phase * s, zero]  # 1j * U * [[0, -1], [1, 0]], entrywise
+    du = np.stack(d_theta + d_phi, axis=-1).reshape(x.shape[:-1] + (2, 2, 2))
+    return qubit_unitary(x[..., 0], x[..., 1]), du
 
 
 def tensor_product(states: Sequence[np.ndarray]) -> np.ndarray:
@@ -132,11 +144,7 @@ def qubit_family() -> StateFamily:
         return qubit_unitary(x[..., 0], x[..., 1])[..., :, 0]
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        theta, phi = x[..., 0], x[..., 1]
-        phase = np.exp(1j * phi)
-        d_theta = np.stack([-0.5 * np.sin(0.5 * theta), 0.5 * phase * np.cos(0.5 * theta)], axis=-1)
-        d_phi = np.stack([np.zeros_like(phase), 1j * phase * np.sin(0.5 * theta)], axis=-1)
-        return np.stack([d_theta, d_phi], axis=-1)
+        return qubit_rotation(x)[1][..., :, 0].swapaxes(-1, -2)
 
     return StateFamily(dim=2, n_params=2, evaluate=evaluate, jacobian=jacobian)
 

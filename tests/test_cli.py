@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -353,39 +354,51 @@ def case_id(args: list[str]) -> str:
 
 # Non-finite angles and values outside the ranges the library (or, for
 # CLI-only options, the parser) accepts, and integers too large to compute
-# with: each must exit 1 with one error line.
+# with: each must exit 1 with one error line, containing the given text.
 REJECTED_VALUES = [
-    ["probs", "--theta-deg", "nan", "--phi-deg", "10"],
-    ["probs", "--theta-deg", "10", "--phi-deg", "10", "--format", "json"],
-    ["qfim", "--theta-deg", "inf", "--phi-deg", "10"],
-    ["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"],
-    ["qfim", "--family", "single", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"],
-    ["surface", "--n", "0"],
-    ["simulate", "--phi-deg", "36", "--n", "0"],
-    ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", "0"],
-    ["surface", "--resolution", "1"],
-    ["simulate", "--phi-deg", "36", "--resamples", "-1"],
-    ["simulate", "--phi-deg", "36", "--resamples", "1"],
-    ["simulate", "--phi-deg", "36", "--shots", "0"],
-    ["simulate", "--phi-deg", "36", "--repeats", "1"],
-    ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "0"],
-    ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"],
-    ["probs", "--theta-deg", "1e300", "--phi-deg", "1", "--n", "1000000000000000"],
-    ["surface", "--n", HUGE_N],
-    ["simulate", "--phi-deg", "36", "--n", HUGE_N],
-    ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", HUGE_N],
-    ["simulate", "--phi-deg", "36", "--shots", "100000000000000000000"],
-    ["simulate", "--theta-deg", "10", "--phi-deg", "36", "--repeats", HUGE_REPEATS, "--resamples", "0"],
-    ["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--repeats", HUGE_REPEATS],
+    (["probs", "--theta-deg", "nan", "--phi-deg", "10"], ""),
+    (["probs", "--theta-deg", "10", "--phi-deg", "10", "--format", "json"], ""),
+    (["qfim", "--theta-deg", "inf", "--phi-deg", "10"], ""),
+    (["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"], ""),
+    (["qfim", "--family", "single", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"], ""),
+    (["surface", "--n", "0"], ""),
+    (["simulate", "--phi-deg", "36", "--n", "0"], ""),
+    (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", "0"], ""),
+    (["surface", "--resolution", "1"], ""),
+    (["simulate", "--phi-deg", "36", "--resamples", "-1"], ""),
+    (["simulate", "--phi-deg", "36", "--resamples", "1"], ""),
+    (["simulate", "--phi-deg", "36", "--shots", "0"], ""),
+    (["simulate", "--phi-deg", "36", "--repeats", "1"], ""),
+    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "0"], ""),
+    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"], ""),
+    (["probs", "--theta-deg", "1e300", "--phi-deg", "1", "--n", "1000000000000000"], ""),
+    (["surface", "--n", HUGE_N], ""),
+    (["simulate", "--phi-deg", "36", "--n", HUGE_N], ""),
+    (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", HUGE_N], "for N = 11"),
+    (["simulate", "--phi-deg", "36", "--shots", "100000000000000000000"], "shots must be in"),
+    (["simulate", "--theta-deg", "10", "--phi-deg", "36", "--repeats", HUGE_REPEATS, "--resamples", "0"], ""),
+    (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--repeats", HUGE_REPEATS], ""),
+    (["simulate", "--phi-deg", "36", "--repeats", "100000000000000000000"], "repeats must be in"),
+    (["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", HUGE_N], "N * angle is not finite for N ="),
 ]
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("args", REJECTED_VALUES, ids=case_id)
-    def test_rejected_value_exit_one(self, capsys, args):
+    @pytest.mark.parametrize("args, says", REJECTED_VALUES, ids=[case_id(args) for args, _ in REJECTED_VALUES])
+    def test_rejected_value_exit_one(self, capsys, args, says):
         assert main(args) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out == "" and one_error_line(captured.err)
+        assert captured.out == "" and one_error_line(captured.err) and says in captured.err
+
+    def test_n_max_rejected_before_allocating_the_sweep(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and "for N = 11" in capsys.readouterr().err
+        assert peak < 5 * 2**20
 
     def test_out_of_range_row_runs_no_campaign(self, monkeypatch, capsys):
         calls = []

@@ -98,7 +98,7 @@ class TestQfimPure:
             q_sum = np.zeros((2, 2))
             for k in range(d):
                 single = StateFamily(
-                    dim=d, n_params=2, evaluate=lambda y, k=k: unitary(y) @ probes[k]
+                    dim=d, n_params=2, evaluate=lambda y, k=k: unitary(y)[0] @ probes[k]
                 )
                 q_sum += qfim_pure(single.evaluate(x), derivatives(single, x))
             assert np.max(np.abs(q_product - q_sum)) < 1e-7
@@ -208,7 +208,7 @@ class TestUhlmannCurvature:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             gens.append(g + g.conj().T)
         x = rng.uniform(0.2, 0.9, 2)
-        family = loem_family(generator_unitary(gens), 2, orthogonal_probes(4))
+        family = dataclasses.replace(loem_family(generator_unitary(gens), 2, orthogonal_probes(4)), jacobian=None)
         curv = uhlmann_curvature(family.evaluate(x), derivatives(family, x))
         assert np.max(np.abs(curv)) < 1e-6
 

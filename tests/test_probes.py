@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loem import (
     antiparallel_family,
@@ -15,11 +17,11 @@ from loem import (
     generator_unitary,
     identical_pair_family,
     loem_family,
-    loem_state,
     orthogonal_probes,
     outcome_probabilities,
     qfim_pure,
     qubit_family,
+    qubit_rotation,
     qubit_unitary,
     uhlmann_curvature,
     wcc_holds,
@@ -32,10 +34,6 @@ def random_generators(rng, d, m=2):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         gens.append(0.5 * (a + a.conj().T))
     return gens
-
-
-def qubit_unitary_family(x):
-    return qubit_unitary(x[0], x[1])
 
 
 class TestOrthogonalProbes:
@@ -54,7 +52,7 @@ class TestOrthogonalProbes:
 
 class TestLoemState:
     def test_identity_point(self):
-        out = loem_state(qubit_unitary_family, np.array([0.0, 1.7]), orthogonal_probes(2))
+        out = loem_family(qubit_rotation, 2, orthogonal_probes(2)).evaluate(np.array([0.0, 1.7]))
         assert np.allclose(out, [0, 1, 0, 0], atol=1e-15)
 
     def test_hand_multiplied_oracle(self):
@@ -65,7 +63,7 @@ class TestLoemState:
         expected = np.array(
             [first[0] * second[0], first[0] * second[1], first[1] * second[0], first[1] * second[1]]
         )
-        out = loem_state(qubit_unitary_family, np.array([np.pi / 2, 0.0]), orthogonal_probes(2))
+        out = loem_family(qubit_rotation, 2, orthogonal_probes(2)).evaluate(np.array([np.pi / 2, 0.0]))
         assert np.allclose(out, expected, atol=1e-15)
         assert np.allclose(out, [-0.5, 0.5, -0.5, 0.5], atol=1e-12)
 
@@ -83,7 +81,56 @@ class TestLoemState:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            loem_state(qubit_unitary_family, np.array([0.1, 0.2]), orthogonal_probes(3))
+            loem_family(qubit_rotation, 2, orthogonal_probes(3)).evaluate(np.array([0.1, 0.2]))
+
+    def test_non_finite_point_rejected(self):
+        # cos(inf) is NaN, so U(inf, 0) is a NaN matrix
+        family = loem_family(qubit_rotation, 2, orthogonal_probes(2))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+            family.evaluate(np.array([np.inf, 0.0]))
+
+
+def hermitian_pair(seed, d, degenerate):
+    """Two random Hermitian generators; a degenerate G_1 has a repeated eigenvalue."""
+    rng = np.random.default_rng(seed)
+    gens = random_generators(rng, d)
+    if degenerate:
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        spectrum = rng.normal(size=d)
+        spectrum[1] = spectrum[0]
+        gens[0] = (q * spectrum) @ q.conj().T
+    return gens
+
+
+class TestExactJacobian:
+    """The product rule over dU of a generator family, against central differences.
+
+    x = 0 makes every eigenvalue of H equal, and x_2 = 0 with a degenerate G_1
+    makes two equal, with generic V† G_2 V entries between them.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 5),
+        degenerate=st.booleans(),
+        x=st.one_of(
+            st.just((0.0, 0.0)),
+            st.tuples(st.floats(-1.0, 1.0), st.just(0.0)),
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        ),
+    )
+    def test_matches_central_differences_with_exact_geometry(self, seed, d, degenerate, x):
+        family = loem_family(generator_unitary(hermitian_pair(seed, d, degenerate)), 2, orthogonal_probes(d))
+        x = np.array(x)
+        state, jac = family.evaluate(x), derivatives(family, x)
+        numeric = derivatives(dataclasses.replace(family, jacobian=None), x)
+        assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(jac))
+        # normalization: Re<psi|d_i psi> = 0
+        assert np.max(np.abs(np.real(jac.conj().T @ state))) <= 1e-13
+        # orthogonal probes: the curvature vanishes up to roundoff
+        scale = max(1.0, np.max(np.sum(np.abs(jac) ** 2, axis=0)))
+        assert np.max(np.abs(uhlmann_curvature(state, jac))) < 1e-12 * scale
 
 
 class TestAntiparallelState:
@@ -258,13 +305,13 @@ class TestGeneratorUnitary:
         for d in (2, 3, 4):
             unitary = generator_unitary(random_generators(rng, d))
             x = rng.uniform(-1.0, 1.0, size=2)
-            u = unitary(x)
+            u, _ = unitary(x)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
 
     def test_reduces_to_matrix_exponential_for_commuting_case(self):
         g = np.diag([1.0, -1.0]).astype(complex)
         unitary = generator_unitary([g])
-        u = unitary(np.array([0.7]))
+        u, _ = unitary(np.array([0.7]))
         assert np.allclose(u, np.diag(np.exp(-1j * 0.7 * np.diag(g))), atol=1e-12)
 
     def test_non_hermitian_rejected(self):

@@ -140,3 +140,9 @@ class TestValidators:
     def test_check_unitary_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             check_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_check_unitary_rejects_nan(self):
+        with pytest.raises(ValueError):
+            check_unitary(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError):
+            check_unitary(np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2)]))
