@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -213,20 +212,44 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _json_value(value):
-    # RFC 8259 JSON has no NaN or Infinity; CSV keeps repr's "nan" and "inf".
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+_CHUNK = 4096  # rows formatted per write, which bounds the writer's memory
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
-def _write_table(handle, columns: list[str], rows: list[list], fmt: str):
-    """Write rows of Python values, in ``columns`` order, as CSV or JSON."""
+def _cells(part, fmt: str) -> list[str]:
+    """Cell texts of one chunk of a column: repr, the shortest round trip.
+
+    RFC 8259 JSON has no NaN or Infinity, so JSON writes null where CSV keeps
+    repr's "nan" and "inf".  A float ndarray is formatted once per distinct
+    bit pattern, which keeps -0.0 apart from 0.0.
+    """
+    if isinstance(part, np.ndarray):
+        bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
+        return np.array(_cells(bits.view(np.float64).tolist(), fmt), dtype=object)[inverse].tolist()
+    text = list(map(repr, part))
+    return ["null" if t in _NON_FINITE else t for t in text] if fmt == "json" else text
+
+
+def _write_table(handle, columns: list[str], table: list, fmt: str):
+    """Write equal-length columns, named ``columns``, as CSV or JSON.
+
+    A column is a float64 ndarray or a sequence of Python ints and floats.
+    The text is what csv.writer, and json.dump with indent 2 and a final
+    newline, write for the rows; it is built _CHUNK rows at a time.
+    """
     if fmt == "json":
-        json.dump([{c: _json_value(v) for c, v in zip(columns, row)} for row in rows], handle, indent=2)
-        handle.write("\n")
+        row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in columns) + "\n  }"
+        head, sep, tail, empty = "[\n", ",\n", "\n]\n", "[]\n"
     else:
-        writer = csv.writer(handle, lineterminator="\n")  # floats as repr: shortest round trip
-        writer.writerow(columns)
-        writer.writerows(rows)
+        row = ",".join(["%s"] * len(columns))
+        head = empty = ",".join(columns) + "\n"
+        sep = tail = "\n"
+    n_rows = len(table[0])
+    for start in range(0, n_rows, _CHUNK):
+        cells = [_cells(column[start : start + _CHUNK], fmt) for column in table]
+        handle.write(head if start == 0 else sep)
+        handle.write(sep.join(map(row.__mod__, zip(*cells))))
+    handle.write(tail if n_rows else empty)
 
 
 def _state_and_jacobian(args) -> tuple[np.ndarray, np.ndarray]:
@@ -255,14 +278,14 @@ def _run_wcc(args) -> str:
     )
 
 
-def _run_surface(args) -> list[list]:
+def _run_surface(args) -> list[np.ndarray]:
     angles = np.linspace(0.0, 360.0, args.resolution, endpoint=False)
     theta_deg, phi_deg = np.meshgrid(angles, angles, indexing="ij")
     probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), args.n)
-    return np.column_stack([theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]).tolist()
+    return [theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]
 
 
-def _run_simulate(args) -> list[list]:
+def _run_simulate(args) -> list[tuple]:
     # Every row's TrialConfig is built, and so validated, before any campaign runs.
     trials = [
         TrialConfig(
@@ -281,26 +304,14 @@ def _run_simulate(args) -> list[list]:
         stats = run_trials(trial)
         err_theta, err_phi = error_bars(trial, args.resamples) if args.resamples else (math.nan, math.nan)
         rows.append(
-            [
-                theta_deg,
-                args.phi_deg,
-                args.n,
-                args.shots,
-                args.repeats,
-                stats.m_times_mse_theta,
-                stats.m_times_mse_phi,
-                stats.m_times_covariance,
-                stats.qcrb_theta,
-                stats.qcrb_phi,
-                err_theta,
-                err_phi,
-                stats.n_failed,
-            ]
+            [theta_deg, args.phi_deg, args.n, args.shots, args.repeats, stats.m_times_mse_theta]
+            + [stats.m_times_mse_phi, stats.m_times_covariance, stats.qcrb_theta, stats.qcrb_phi]
+            + [err_theta, err_phi, stats.n_failed]
         )
-    return rows
+    return list(zip(*rows))
 
 
-def _run_heisenberg(args) -> list[list]:
+def _run_heisenberg(args) -> list[tuple]:
     points = heisenberg_sweep(
         theta=math.radians(args.theta_deg),
         phi=math.radians(args.phi_deg),
@@ -309,7 +320,7 @@ def _run_heisenberg(args) -> list[list]:
         repeats=args.repeats,
         seed=args.seed,
     )
-    return [
+    rows = [
         [
             point.n_iter,
             point.stats.m_times_mse_theta,
@@ -321,6 +332,7 @@ def _run_heisenberg(args) -> list[list]:
         ]
         for point in points
     ]
+    return list(zip(*rows))
 
 
 # command -> (runner, column schema of its table; None for a text result)

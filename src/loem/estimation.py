@@ -71,7 +71,10 @@ class TrialConfig:
     def __post_init__(self):
         if self.n_iter < 1:
             raise ValueError(f"n_iter must be >= 1, got {self.n_iter!r}")
-        limit = np.pi / (2 * self.n_iter)
+        try:
+            limit = np.pi / (2 * self.n_iter)
+        except OverflowError:  # N is beyond the float range
+            raise ValueError(f"pi/(2N) cannot be computed for N = {self.n_iter}") from None
         for name, value in (("theta_true", self.theta_true), ("phi_true", self.phi_true)):
             if not 0.0 <= value < limit:
                 raise ValueError(

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from loem.cli import (
     SIMULATE_COLUMNS,
     SURFACE_COLUMNS,
     UsageError,
+    _CHUNK,
+    _write_table,
     main,
     parse_args,
 )
@@ -335,6 +338,105 @@ class TestTables:
         assert [float(r.split(",")[0]) for r in rows] == [10.0, 25.0, 40.0, 55.0, 70.0, 85.0]
 
 
+def reference_table(columns: list[str], rows: list[list], fmt: str) -> str:
+    """The csv and json calls the table commands made before, kept as the oracle for _write_table."""
+    handle = io.StringIO()
+    if fmt == "json":
+
+        def value(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+
+        json.dump([{c: value(v) for c, v in zip(columns, row)} for row in rows], handle, indent=2)
+        handle.write("\n")
+    else:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return handle.getvalue()
+
+
+def written_table(columns: list[str], table: list, fmt: str) -> str:
+    handle = io.StringIO()
+    _write_table(handle, columns, table, fmt)
+    return handle.getvalue()
+
+
+class Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16]
+SPECIAL_INTS = [2**63, 10**30]
+
+
+@st.composite
+def random_tables(draw, n_rows: int):
+    """Named columns of n_rows cells: float ndarrays, float lists or int lists, drawn from small pools."""
+    names = draw(st.lists(st.text("abcxyz_", min_size=1, max_size=8), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = []
+    for _ in names:
+        kind = draw(st.sampled_from(["ndarray", "floats", "ints"]))
+        if kind == "ints":
+            values = st.integers(-(2**64), 2**64) | st.sampled_from(SPECIAL_INTS)
+        else:
+            values = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+        pool = draw(st.lists(values, min_size=1, max_size=12))
+        column = [pool[i] for i in rng.integers(len(pool), size=n_rows)]
+        table.append(np.array(column, dtype=np.float64) if kind == "ndarray" else column)
+    return names, table
+
+
+class TestTableWriter:
+    """_write_table gives the bytes of the csv/json oracle, a chunk of rows at a time."""
+
+    @pytest.mark.parametrize("n_rows", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_writer(self, n_rows, data):
+        names, table = data.draw(random_tables(n_rows))
+        rows = [list(row) for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table))]
+        for fmt in ("csv", "json"):
+            assert written_table(names, table, fmt) == reference_table(names, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table(self, fmt):
+        assert written_table(["a", "b"], [[], []], fmt) == reference_table(["a", "b"], [], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_special_values(self, fmt):
+        floats = SPECIAL_FLOATS + SPECIAL_FLOATS[::-1]
+        ints = [SPECIAL_INTS[i % 2] for i in range(len(floats))]
+        rows = [list(row) for row in zip(floats, floats, ints)]
+        table = [np.array(floats), floats, ints]
+        assert written_table(["a", "b", "c"], table, fmt) == reference_table(["a", "b", "c"], rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_surface_matches_reference_writer(self, tmp_path, fmt):
+        out = tmp_path / f"surface.{fmt}"
+        assert main(["surface", "--resolution", "97", "--n", "3", "--format", fmt, "--output", str(out)]) == EXIT_OK
+        # The row lists the surface command built before it returned columns.
+        angles = np.linspace(0.0, 360.0, 97, endpoint=False)
+        theta_deg, phi_deg = np.meshgrid(angles, angles, indexing="ij")
+        probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), 3)
+        rows = np.column_stack([theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]).tolist()
+        assert out.read_bytes() == reference_table(SURFACE_COLUMNS, rows, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_bounded_by_chunk(self, fmt):
+        def peak(n_rows: int) -> int:
+            table = [np.random.default_rng(0).random(n_rows)]  # distinct floats: no cell shared
+            tracemalloc.start()
+            try:
+                _write_table(Discard(), ["p"], table, fmt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * _CHUNK) <= 1.25 * peak(2 * _CHUNK)
+
+
 def one_error_line(err: str) -> bool:
     return err.startswith("error:") and err.count("\n") == 1
 
@@ -373,7 +475,7 @@ REJECTED_VALUES = [
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"], ""),
     (["probs", "--theta-deg", "1e300", "--phi-deg", "1", "--n", "1000000000000000"], ""),
     (["surface", "--n", HUGE_N], ""),
-    (["simulate", "--phi-deg", "36", "--n", HUGE_N], ""),
+    (["simulate", "--phi-deg", "36", "--n", HUGE_N], f"pi/(2N) cannot be computed for N = {HUGE_N}"),
     (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", HUGE_N], "for N = 11"),
     (["simulate", "--phi-deg", "36", "--shots", "100000000000000000000"], "shots must be in"),
     (["simulate", "--theta-deg", "10", "--phi-deg", "36", "--repeats", HUGE_REPEATS, "--resamples", "0"], ""),
