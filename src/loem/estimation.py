@@ -1,9 +1,9 @@
 """Measurement sampling, maximum-likelihood estimation, and Monte Carlo campaigns.
 
 Counts are drawn per four-port trial, (theta, phi) is recovered by the exact
-closed-form multinomial MLE (with an independent grid maximizer as oracle),
-and repeated campaigns produce M x MSE statistics, error bars, and
-Heisenberg-scaling sweeps with their Cramér-Rao and shot-noise references.
+closed-form multinomial MLE, and repeated campaigns produce M x MSE
+statistics, error bars, and Heisenberg-scaling sweeps with their Cramér-Rao
+and shot-noise references.
 A campaign works on arrays: an (R, 4) count array, a row-wise MLE and
 masked statistics, with no Python object per trial.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +29,8 @@ __all__ = [
     "TrialStatistics",
     "SweepPoint",
     "trial_rng",
-    "sample_counts",
     "campaign_counts",
     "mle_closed_form_batch",
-    "mle_grid",
     "run_trials",
     "error_bars",
     "heisenberg_sweep",
@@ -40,7 +38,7 @@ __all__ = [
 
 NOISE_MODELS = ("multinomial", "poisson")
 
-# Per-row status codes of mle_closed_form_batch and mle_grid.
+# Per-row status codes of mle_closed_form_batch.
 STATUS_OK, STATUS_BOUNDARY, STATUS_FAILED = 0, 1, 2
 
 # Fraction of failed estimates beyond which a campaign is rejected as
@@ -48,8 +46,6 @@ STATUS_OK, STATUS_BOUNDARY, STATUS_FAILED = 0, 1, 2
 # quantization alone.  Every campaign needs two usable estimates for its
 # statistics.
 _MAX_FAILURE_FRACTION = 0.10
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -140,42 +136,19 @@ def trial_rng(seed: int, trial_index: int, resample_index: int = 0) -> np.random
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
-def _sampling_distribution(probs: np.ndarray, shots: int) -> np.ndarray:
-    """Validated outcome distribution, clipped at zero and renormalised."""
-    probs = check_probabilities(probs)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return probs / probs.sum()
-
-
-def sample_counts(
-    probs: np.ndarray, shots: int, noise_model: str, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw per-port counts for one trial.
-
-    multinomial: counts sum to exactly ``shots``.  poisson: each port is an
-    independent Poisson with mean shots * p_k, so the total fluctuates.
-    """
-    probs = _sampling_distribution(probs, shots)
-    if noise_model == "multinomial":
-        return rng.multinomial(shots, probs)
-    if noise_model == "poisson":
-        return rng.poisson(shots * probs)
-    raise ValueError(f"noise_model must be one of {NOISE_MODELS}")
-
-
 def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
     """Per-port counts of every trial of a campaign, as a (repeats, 4) array.
 
-    Row t is exactly ``sample_counts(probs, shots, noise_model,
-    trial_rng(seed, t, resample_index))``.  Rather than build a generator
-    per trial, the campaign builds one and, before trial t, restores its
-    fresh state with the counter words set to (0, 0, t, resample_index),
-    the block trial_rng(seed, t, resample_index) starts at.
+    Row t is exactly the one draw ``multinomial(shots, p)`` or
+    ``poisson(shots * p)`` of a fresh trial_rng(seed, t, resample_index),
+    with p the outcome probabilities clipped at zero and renormalised.
+    Rather than build a generator per trial, the campaign builds one and,
+    before trial t, restores its fresh state with the counter words set to
+    (0, 0, t, resample_index), the block trial_rng(seed, t, resample_index)
+    starts at.
     """
-    probs = _sampling_distribution(
-        outcome_probabilities(config.theta_true, config.phi_true, config.n_iter), config.shots
-    )
+    probs = check_probabilities(outcome_probabilities(config.theta_true, config.phi_true, config.n_iter))
+    probs = probs / probs.sum()
     rng = trial_rng(config.seed, 0, resample_index)
     bit_generator = rng.bit_generator
     fresh = bit_generator.state
@@ -192,18 +165,6 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
         counter[2] = trial
         bit_generator.state = fresh
         counts[trial] = draw()
-    return counts
-
-
-def _check_counts(counts: np.ndarray, ndim: int = 1) -> np.ndarray:
-    """Non-negative finite counts: four with a positive total, or (R, 4) rows."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim != ndim or counts.shape[-1] != 4:
-        raise ValueError("expected four per-port counts" + (" per row" if ndim == 2 else ""))
-    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
-        raise ValueError("counts must be non-negative and finite")
-    if ndim == 1 and counts.sum() <= 0:
-        raise ValueError("total count must be >= 1 for estimation")
     return counts
 
 
@@ -226,7 +187,11 @@ def mle_closed_form_batch(
     Boundary estimates carry the constrained-MLE values and remain usable.
     STATUS_OK otherwise.
     """
-    counts = _check_counts(counts, ndim=2)
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[-1] != 4:
+        raise ValueError("expected four per-port counts per row")
+    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
+        raise ValueError("counts must be non-negative and finite")
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
     n2, n3, n4 = counts[:, 1], counts[:, 2], counts[:, 3]
@@ -246,86 +211,6 @@ def mle_closed_form_batch(
     phi_hat[failed] = np.nan
     status = np.where(failed, STATUS_FAILED, np.where(pinned, STATUS_BOUNDARY, STATUS_OK))
     return theta_hat, phi_hat, status
-
-
-def _loglik_terms(count: float, prob: np.ndarray) -> np.ndarray:
-    """count * log(prob) with the 0 * log 0 := 0 convention."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = count * np.log(prob)
-    if count == 0:
-        return np.zeros_like(np.asarray(prob, dtype=float))
-    return vals
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, iterations: int) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def mle_grid(counts: np.ndarray, n_iter: int = 1, resolution: int = 512) -> tuple[float, float, int]:
-    """Independent likelihood maximizer over a grid on [0, pi/(2N)]^2.
-
-    Takes the arg-max of the log-likelihood on a resolution x resolution
-    grid (ties broken toward smaller (theta, phi) lexicographically) and
-    refines each coordinate with 40 golden-section iterations within one
-    grid cell.  Returns (theta_hat, phi_hat, status) for one row of four
-    counts, with a STATUS_* code as in mle_closed_form_batch, whose oracle
-    it is.
-    """
-    counts = _check_counts(counts)
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
-    n1, n2, n3, n4 = counts
-    n34 = n3 + n4
-    limit = np.pi / (2 * n_iter)
-    thetas = np.linspace(0.0, limit, resolution)
-    phis = np.linspace(0.0, limit, resolution)
-
-    def theta_part(theta: np.ndarray) -> np.ndarray:
-        a = n_iter * np.asarray(theta, dtype=float)
-        return (
-            _loglik_terms(n1, np.cos(0.5 * a) ** 4)
-            + _loglik_terms(n2, np.sin(0.5 * a) ** 4)
-            + _loglik_terms(n34, 0.5 * np.sin(a) ** 2)
-        )
-
-    def phi_part(phi: np.ndarray) -> np.ndarray:
-        b = n_iter * np.asarray(phi, dtype=float)
-        return _loglik_terms(n3, np.sin(b) ** 2) + _loglik_terms(n4, np.cos(b) ** 2)
-
-    grid = theta_part(thetas)[:, None] + phi_part(phis)[None, :]
-    flat_index = int(np.argmax(grid))  # first maximum in row-major order
-    i, j = divmod(flat_index, resolution)
-    cell = limit / (resolution - 1)
-
-    theta_hat = _golden_max(
-        lambda t: float(theta_part(t)), max(0.0, thetas[i] - cell), min(limit, thetas[i] + cell), 40
-    )
-    phi_hat = _golden_max(
-        lambda p: float(phi_part(p)), max(0.0, phis[j] - cell), min(limit, phis[j] + cell), 40
-    )
-
-    # Status conventions mirror the closed form: they are properties of the
-    # count pattern, not of the maximizer used.
-    s_hat = (2.0 * n2 + n34) / (2.0 * counts.sum())
-    if n34 == 0:
-        return float(theta_hat), float("nan"), STATUS_FAILED
-    status = STATUS_BOUNDARY if (n3 == 0 or n4 == 0 or s_hat > 0.5 + 1e-12) else STATUS_OK
-    return float(theta_hat), float(phi_hat), status
 
 
 def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
@@ -416,12 +301,35 @@ def heisenberg_sweep(
 ) -> list[SweepPoint]:
     """One campaign per iteration count N, with QCRB and shot-noise references.
 
+    ``n_list`` is ascending.  Before any campaign runs, the first N whose
+    TrialConfig is invalid raises that config's ValueError.
+
     The shot-noise reference treats N iterations as N independent single-pass
     uses: M x MSE_SNL(theta) = 1/(2N), M x MSE_SNL(phi) = 1/(2N sin^2(N theta)).
     """
-    # Every N is validated before any campaign runs; keeping no config bounds a long sweep's memory.
-    for n in n_list:
-        TrialConfig(theta, phi, int(n), shots, repeats, seed)
+
+    def config(i: int) -> TrialConfig:
+        return TrialConfig(theta, phi, int(n_list[i]), shots, repeats, seed)
+
+    def valid(i: int) -> bool:
+        try:
+            config(i)
+        except ValueError:
+            return False
+        return True
+
+    # Validity is monotone in N >= 1: pi/(2N) falls as N grows, and the float
+    # overflow starts at one N.  So after the first N, a bisection finds the
+    # first failing N of a sweep of any length.  index, not len: the len() of
+    # a range beyond sys.maxsize overflows.
+    if n_list:
+        config(0)
+        lo, hi = 0, n_list.index(n_list[-1])
+        if not valid(hi):
+            while hi - lo > 1:  # config(lo) is valid, config(hi) is not
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+            config(hi)
     points = []
     for n in map(int, n_list):
         stats = run_trials(TrialConfig(theta, phi, n, shots, repeats, seed))

@@ -1,9 +1,8 @@
 """Quantum and classical Fisher information for pure states.
 
-Provides the pure-state quantum Fisher information matrix (QFIM), symmetric
-logarithmic derivative (SLD) operators, the mean Uhlmann curvature (the weak
-commutativity diagnostic), the classical Fisher information matrix (FIM) of
-an outcome model, and uniform-prior QFIM averages.
+Provides the pure-state quantum Fisher information matrix (QFIM), the mean
+Uhlmann curvature (the weak commutativity diagnostic), the classical Fisher
+information matrix (FIM) of an outcome model, and uniform-prior QFIM averages.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from .quantum import StateFamily, central_difference, check_probabilities, deriv
 
 __all__ = [
     "qfim_pure",
-    "sld_pure",
     "uhlmann_curvature",
     "wcc_holds",
     "fim",
@@ -57,15 +55,6 @@ def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     if not np.isfinite(q).all():
         raise DivergentInformationError("QFIM overflows: the Jacobian is too large")
     return q
-
-
-def sld_pure(state: np.ndarray, deriv_column: np.ndarray) -> np.ndarray:
-    """Pure-state SLD operator L = 2(|d psi><psi| + |psi><d psi|)."""
-    state = np.asarray(state, dtype=complex)
-    deriv = np.asarray(deriv_column, dtype=complex)
-    if deriv.shape != state.shape:
-        raise ValueError(f"derivative shape {deriv.shape} does not match state shape {state.shape}")
-    return 2.0 * (np.outer(deriv, state.conj()) + np.outer(state, deriv.conj()))
 
 
 def _sld_applied(state: np.ndarray, deriv: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "StateFamily",
     "derivatives",
     "qubit_family",
-    "phase_shifted_family",
 ]
 
 #: Central-difference step. Balances O(h^2) truncation against floating-point
@@ -147,16 +146,3 @@ def qubit_family() -> StateFamily:
         return qubit_rotation(x)[1][..., :, 0].swapaxes(-1, -2)
 
     return StateFamily(dim=2, n_params=2, evaluate=evaluate, jacobian=jacobian)
-
-
-def phase_shifted_family(family: StateFamily, alpha: Callable[[np.ndarray], np.ndarray]) -> StateFamily:
-    """Multiply a family by the smooth global phase e^{i alpha(x)}.
-
-    ``alpha`` maps points (..., P) to phases (...).  Used to exercise gauge
-    invariance; derivatives of the result are taken by central differences.
-    """
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return np.exp(1j * alpha(x))[..., None] * family.evaluate(x)
-
-    return StateFamily(dim=family.dim, n_params=family.n_params, evaluate=evaluate)

@@ -24,7 +24,6 @@ from loem import (
     identical_pair_family,
     loem_family,
     mle_closed_form_batch,
-    mle_grid,
     orthogonal_probes,
     outcome_probabilities,
     qfim_pure,
@@ -33,6 +32,7 @@ from loem import (
     TrialConfig,
     uhlmann_curvature,
 )
+from oracles import mle_grid
 
 SEED = 2
 

@@ -8,12 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import loem.cli
@@ -391,8 +392,10 @@ def random_tables(draw, n_rows: int):
 class TestTableWriter:
     """_write_table gives the bytes of the csv/json oracle, a chunk of rows at a time."""
 
+    # No shrink phase: each shrink step re-runs the pure-Python json.dump
+    # oracle on up to 8193 rows, and test_special_values gives the minimal report.
     @pytest.mark.parametrize("n_rows", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=5, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
     @given(data=st.data())
     def test_matches_reference_writer(self, n_rows, data):
         names, table = data.draw(random_tables(n_rows))
@@ -501,6 +504,22 @@ class TestExitCodes:
             tracemalloc.stop()
         assert code == EXIT_USAGE and "for N = 11" in capsys.readouterr().err
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("n_max", [10**300, 10**400], ids=["1e300", "1e400"])
+    def test_huge_n_max_ends_at_once(self, capsys, n_max):
+        # theta = phi = 0 is valid for every N up to the float overflow of
+        # pi/(2N) near N = 9e307: the sweep exits 2 at its first campaign
+        # below that, and exits 1 naming the first overflowing N above it.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(["heisenberg", "--theta-deg", "0", "--phi-deg", "0", "--n-max", str(n_max)])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (EXIT_USAGE, EXIT_NUMERICAL) and one_error_line(capsys.readouterr().err)
+        assert elapsed < 2.0 and peak < 5 * 2**20
 
     def test_out_of_range_row_runs_no_campaign(self, monkeypatch, capsys):
         calls = []

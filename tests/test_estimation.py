@@ -19,12 +19,11 @@ from loem import (
     error_bars,
     heisenberg_sweep,
     mle_closed_form_batch,
-    mle_grid,
     outcome_probabilities,
     run_trials,
-    sample_counts,
     trial_rng,
 )
+from oracles import mle_grid, sample_counts
 
 def loglik(counts, theta, phi, n_iter):
     probs = outcome_probabilities(theta, phi, n_iter)
@@ -465,6 +464,8 @@ class TestHeisenbergSweep:
     def test_constraint_violation_names_n(self):
         with pytest.raises(ValueError, match="N = 11"):
             heisenberg_sweep(np.radians(8.5), np.radians(8.5), list(range(1, 12)), 100, 10, seed=0)
+        with pytest.raises(ValueError, match="N = 11$"):  # the first failing N of a sweep with gaps
+            heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1, 4, 11, 30, 400], 100, 10, seed=0)
 
     def test_out_of_range_last_n_runs_no_campaign(self, monkeypatch):
         calls = []

@@ -19,14 +19,13 @@ from loem import (
     loem_family,
     orthogonal_probes,
     outcome_probabilities,
-    phase_shifted_family,
     qfim_pure,
     qubit_family,
-    sld_pure,
     uhlmann_curvature,
     wcc_holds,
 )
 from loem.quantum import central_difference
+from oracles import phase_shifted_family, sld_pure
 
 
 def random_state(rng, dim):

@@ -156,6 +156,7 @@ class TestAntiparallelState:
                 ]
             )
             assert np.allclose(antiparallel_state(theta, phi, n), expected, atol=1e-13)
+            assert np.allclose(antiparallel_family(n).evaluate(np.array([theta, phi])), expected, atol=1e-13)
 
     def test_iteration_amplifies_angles(self):
         assert np.allclose(
