@@ -145,26 +145,37 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
     Rather than build a generator per trial, the campaign builds one and,
     before trial t, restores its fresh state with the counter words set to
     (0, 0, t, resample_index), the block trial_rng(seed, t, resample_index)
-    starts at.
+    starts at.  The fresh state is trial_rng's own, with its words as Python
+    ints, which the Philox state setter reads at under half the cost of
+    uint64 arrays.
     """
     probs = check_probabilities(outcome_probabilities(config.theta_true, config.phi_true, config.n_iter))
     probs = probs / probs.sum()
+    # Allocated before the first draw, so a campaign too large for memory
+    # fails at once.
+    counts = np.empty((config.repeats, 4), dtype=np.int64)
     rng = trial_rng(config.seed, 0, resample_index)
     bit_generator = rng.bit_generator
     fresh = bit_generator.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     counter = fresh["state"]["counter"]
+    shots = config.shots
     if config.noise_model == "multinomial":
-        draw = lambda: rng.multinomial(config.shots, probs)
+        multinomial = rng.multinomial
+        for trial in range(config.repeats):
+            counter[2] = trial
+            bit_generator.state = fresh
+            counts[trial] = multinomial(shots, probs)
     else:
         # Four scalar draws consume the stream exactly as rng.poisson(means)
         # does, at a third of its call overhead.
-        means = [float(m) for m in config.shots * probs]
-        draw = lambda: [rng.poisson(m) for m in means]
-    counts = np.empty((config.repeats, 4), dtype=np.int64)
-    for trial in range(config.repeats):
-        counter[2] = trial
-        bit_generator.state = fresh
-        counts[trial] = draw()
+        poisson = rng.poisson
+        m1, m2, m3, m4 = (float(m) for m in shots * probs)
+        for trial in range(config.repeats):
+            counter[2] = trial
+            bit_generator.state = fresh
+            counts[trial] = (poisson(m1), poisson(m2), poisson(m3), poisson(m4))
     return counts
 
 

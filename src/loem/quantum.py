@@ -64,8 +64,14 @@ def qubit_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndar
     Angles are radians broadcasting to shape (...), giving (..., 2, 2); any
     real value is accepted, periodicity is handled by the trigonometry.
     """
-    c, s, phase = np.broadcast_arrays(np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi))
-    return np.stack([np.stack([c, -s / phase], axis=-1), np.stack([s * phase, c], axis=-1)], axis=-2)
+    c, s, phase = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi)
+    shape = np.broadcast_shapes(np.shape(c), np.shape(phase))
+    u = np.empty(shape + (2, 2), dtype=np.result_type(c, phase))
+    u[..., 0, 0] = c
+    u[..., 0, 1] = -s / phase
+    u[..., 1, 0] = s * phase
+    u[..., 1, 1] = c
+    return u
 
 
 def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -108,6 +108,29 @@ GOLDEN_SIMULATE_CSV = {
 }
 
 
+# Outputs of GOLDEN_SIMULATE_ARGS with three error-bar resamples instead of
+# none, recorded before the campaign loop restored substreams from Python-int
+# state words.  err_* come from Poisson resamples under either noise model.
+GOLDEN_ERROR_BARS_CSV = {
+    "multinomial": (
+        "theta_deg,phi_deg,n,shots,repeats,m_mse_theta,m_mse_phi,cov_m,qcrb_theta,qcrb_phi,"
+        "err_theta,err_phi,n_failed\n"
+        "25.0,36.0,1,500,40,0.6403829592328204,3.31062444169239,0.022789603259028245,0.5,"
+        "2.799454966056695,0.09198805609759578,0.5688151173905629,0\n"
+        "70.0,36.0,1,500,40,0.4531738794524908,0.7862613556934271,0.02094497167569911,0.5,"
+        "0.5662371657158972,0.10458183572895799,0.1317204471117347,0\n"
+    ),
+    "poisson": (
+        "theta_deg,phi_deg,n,shots,repeats,m_mse_theta,m_mse_phi,cov_m,qcrb_theta,qcrb_phi,"
+        "err_theta,err_phi,n_failed\n"
+        "25.0,36.0,1,500,40,0.498187125076637,1.7625060616184174,0.045032592709222385,0.5,"
+        "2.799454966056695,0.09198805609759578,0.5688151173905629,0\n"
+        "70.0,36.0,1,500,40,0.5015283752590757,0.547048390657079,-0.09644284554721991,0.5,"
+        "0.5662371657158972,0.10458183572895799,0.1317204471117347,0\n"
+    ),
+}
+
+
 class TestParseArgs:
     def test_simulate_reference_invocation(self):
         config = parse_args(SIMULATE_ARGS)
@@ -316,6 +339,13 @@ class TestTables:
         out = tmp_path / "golden.csv"
         assert main(GOLDEN_SIMULATE_ARGS + ["--noise", noise, "--output", str(out)]) == EXIT_OK
         assert out.read_text() == GOLDEN_SIMULATE_CSV[noise]
+
+    @pytest.mark.parametrize("noise", sorted(GOLDEN_ERROR_BARS_CSV))
+    def test_simulate_error_bars_golden_csv(self, tmp_path, noise):
+        out = tmp_path / "golden.csv"
+        args = GOLDEN_SIMULATE_ARGS[:-1] + ["3", "--noise", noise, "--output", str(out)]
+        assert main(args) == EXIT_OK
+        assert out.read_text() == GOLDEN_ERROR_BARS_CSV[noise]
 
     def test_default_simulate_layout(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,6 +1,7 @@
 """Tests for count sampling, the MLE pair, and Monte Carlo campaigns."""
 
 import dataclasses
+import signal
 
 import numpy as np
 import pytest
@@ -95,6 +96,9 @@ CAMPAIGNS = [
     (12.0, 25.0, 3, 500, 40, 11, "multinomial", 0),
     (70.0, 10.0, 1, 2000, 40, 7, "multinomial", 3),
     (35.0, 10.0, 2, 200, 40, 7, "poisson", 5),
+    # the largest Philox key and the largest resample counter word
+    (40.0, 36.0, 1, 10**4, 40, 2**128 - 1, "multinomial", 2**64 - 1),
+    (35.0, 10.0, 2, 200, 40, 2**128 - 1, "poisson", 2**64 - 1),
 ]
 
 
@@ -130,6 +134,25 @@ class TestCampaignCounts:
         monkeypatch.setattr(loem.estimation, "trial_rng", counting_rng)
         campaign_counts(campaign_config(CAMPAIGNS[5]), 3)
         assert calls == [(7, 0, 3)]
+
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    def test_huge_campaign_refused_before_drawing(self, noise_model):
+        # 10^14 rows of counts need 3.2 PB: the up-front allocation fails at
+        # once, where drawing first would run for days.  The timer turns such
+        # a run into a failure after 2 s instead of a hang.
+        config = dataclasses.replace(campaign_config(CAMPAIGNS[0]), repeats=10**14, noise_model=noise_model)
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("campaign_counts drew before allocating")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(MemoryError):
+                campaign_counts(config)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestMleClosedFormBatch:
