@@ -13,11 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import StateFamily, check_unitary, qubit_rotation, qubit_unitary, tensor_product
+from .quantum import StateFamily, UnitaryFamily, loem_family, qubit_rotation, qubit_unitary, tensor_product
 
 __all__ = [
     "orthogonal_probes",
-    "loem_family",
     "generator_unitary",
     "antiparallel_state",
     "antiparallel_family",
@@ -27,9 +26,6 @@ __all__ = [
     "outcome_probabilities",
     "antiparallel_qfim_closed",
 ]
-
-# Points x (..., P) -> U(x) (..., d, d) and dU/dx_k stacked as (..., P, d, d).
-UnitaryFamily = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 # Composite dimension d^d is capped at 6^6 = 46656.
 _MAX_PROBE_DIM = 6
@@ -42,53 +38,29 @@ def orthogonal_probes(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex)
 
 
-def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray) -> StateFamily:
-    """Family x -> tensor product of U(x)|p_k>, first probe most significant, with exact Jacobian."""
-    probes = np.asarray(probes, dtype=complex)
-    d = probes.shape[1]
-
-    def applied(x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        u, du = unitary_family(np.atleast_1d(np.asarray(x, dtype=float)))
-        u = check_unitary(u)
-        if u.shape[-2:] != (d, d):
-            raise ValueError(f"unitary shape {u.shape[-2:]} does not match probe dimension {d}")
-        return [(u @ probe, du @ probe) for probe in probes]
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return tensor_product([a for a, _ in applied(x)])
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        # d(s (x) a) = ds (x) a + s (x) da, keeping the parameter axis of ds (..., P, D) outside
-        (state, jac), *rest = applied(x)
-        for a, da in rest:
-            jac = tensor_product([jac, a[..., None, :]])
-            jac += tensor_product([state[..., None, :], da])
-            state = tensor_product([state, a])
-        return jac.swapaxes(-1, -2)
-
-    return StateFamily(dim=d ** len(probes), n_params=n_params, evaluate=evaluate, jacobian=jacobian)
-
-
 def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
-    """Unitary family U(x) = exp(-i sum_k x_k G_k) for Hermitian generators G_k.
+    """Unitary family U(x) = exp(-i sum_k x_k G_k) for generators G_k Hermitian to 1e-12 max|G_k|.
 
-    dU/dx_k = V (D o V† G_k V) V† for H = V diag(l) V†, where the divided differences of e^{-il}
-    (Daleckii-Krein) D_ab = -i e^{-i(l_a+l_b)/2} sinc((l_a-l_b)/2pi) need no branch for equal l.
+    The deferred dU/dx_k = V (D o V† G_k V) V† reuses H = V diag(l) V† from U; the divided differences
+    of e^{-il} (Daleckii-Krein) D_ab = -i e^{-i(l_a+l_b)/2} sinc((l_a-l_b)/2pi) need no branch for equal l.
     """
     gens = np.asarray(generators, dtype=complex)
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise ValueError("generators must be a sequence of square matrices")
     for k, g in enumerate(gens):
-        if np.max(np.abs(g - g.conj().T)) > 1e-12:
+        if not np.max(np.abs(g - g.conj().T)) <= 1e-12 * np.max(np.abs(g)):
             raise ValueError(f"generator {k} is not Hermitian")
 
-    def unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         h = (np.asarray(x, dtype=float)[..., :, None, None] * gens).sum(axis=-3)
         vals, vecs = np.linalg.eigh(h)
-        la, lb = vals[..., None, :, None], vals[..., None, None, :]
-        dd = -1j * np.exp(-0.5j * (la + lb)) * np.sinc((la - lb) / (2 * np.pi))
-        v = vecs[..., None, :, :]  # V with a parameter axis
-        du = v @ (dd * (v.conj().swapaxes(-1, -2) @ gens @ v)) @ v.conj().swapaxes(-1, -2)
+
+        def du() -> np.ndarray:
+            la, lb = vals[..., None, :, None], vals[..., None, None, :]
+            dd = -1j * np.exp(-0.5j * (la + lb)) * np.sinc((la - lb) / (2 * np.pi))
+            v = vecs[..., None, :, :]  # V with a parameter axis
+            return v @ (dd * (v.conj().swapaxes(-1, -2) @ gens @ v)) @ v.conj().swapaxes(-1, -2)
+
         return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2), du
 
     return unitary
@@ -119,9 +91,9 @@ def antiparallel_family(n_iter: int = 1) -> StateFamily:
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
 
-    def unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         u, du = qubit_rotation(np.stack(_amplified(n_iter, x[..., 0], x[..., 1]), axis=-1))
-        return u, float(n_iter) * du
+        return u, lambda: float(n_iter) * du()
 
     return loem_family(unitary, 2, orthogonal_probes(2))
 

@@ -23,8 +23,12 @@ __all__ = [
     "tensor_product",
     "StateFamily",
     "derivatives",
+    "loem_family",
     "qubit_family",
 ]
+
+# Points x (..., P) -> U(x) (..., d, d) and a function giving dU/dx_k stacked as (..., P, d, d).
+UnitaryFamily = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 #: Central-difference step. Balances O(h^2) truncation against floating-point
 #: cancellation at double precision; validated against analytic qubit
@@ -74,13 +78,16 @@ def qubit_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndar
     return u
 
 
-def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qubit_unitary as a unitary family: points (..., 2) give U (..., 2, 2) and dU/dx_k (..., 2, 2, 2)."""
-    c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
-    zero = np.zeros_like(phase)
-    d_theta = [-0.5 * s, -0.5 * c / phase, 0.5 * phase * c, -0.5 * s]
-    d_phi = [zero, 1j * s / phase, 1j * phase * s, zero]  # 1j * U * [[0, -1], [1, 0]], entrywise
-    du = np.stack(d_theta + d_phi, axis=-1).reshape(x.shape[:-1] + (2, 2, 2))
+def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """qubit_unitary as a unitary family: points (..., 2) give U (..., 2, 2), deferred dU/dx_k (..., 2, 2, 2)."""
+
+    def du() -> np.ndarray:
+        c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
+        zero = np.zeros_like(phase)
+        d_theta = [-0.5 * s, -0.5 * c / phase, 0.5 * phase * c, -0.5 * s]
+        d_phi = [zero, 1j * s / phase, 1j * phase * s, zero]  # 1j * U * [[0, -1], [1, 0]], entrywise
+        return np.stack(d_theta + d_phi, axis=-1).reshape(x.shape[:-1] + (2, 2, 2))
+
     return qubit_unitary(x[..., 0], x[..., 1]), du
 
 
@@ -142,13 +149,38 @@ def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def qubit_family() -> StateFamily:
-    """Family (theta, phi) -> cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
+def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray) -> StateFamily:
+    """Family x -> tensor product of U(x)|p_k> over the rows of probes (K, d), first most significant."""
+    probes = np.asarray(probes, dtype=complex)
+    if probes.ndim != 2 or probes.size == 0:
+        raise ValueError(f"probes must be a non-empty (K, d) array, got shape {probes.shape}")
+    d = probes.shape[1]
+
+    def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+        u, du = unitary_family(np.atleast_1d(np.asarray(x, dtype=float)))
+        u = check_unitary(u)
+        if u.shape[-2:] != (d, d):
+            raise ValueError(f"unitary shape {u.shape[-2:]} does not match probe dimension {d}")
+        return u, du
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        return qubit_unitary(x[..., 0], x[..., 1])[..., :, 0]
+        u, _ = unitary(x)
+        return tensor_product([u @ probe for probe in probes])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        return qubit_rotation(x)[1][..., :, 0].swapaxes(-1, -2)
+        # d(s (x) a) = ds (x) a + s (x) da, keeping the parameter axis of ds (..., P, D) outside
+        u, deferred_du = unitary(x)
+        du = deferred_du()
+        (state, jac), *rest = [(u @ probe, du @ probe) for probe in probes]
+        for a, da in rest:
+            jac = tensor_product([jac, a[..., None, :]])
+            jac += tensor_product([state[..., None, :], da])
+            state = tensor_product([state, a])
+        return jac.swapaxes(-1, -2)
 
-    return StateFamily(dim=2, n_params=2, evaluate=evaluate, jacobian=jacobian)
+    return StateFamily(dim=d ** len(probes), n_params=n_params, evaluate=evaluate, jacobian=jacobian)
+
+
+def qubit_family() -> StateFamily:
+    """Family (theta, phi) -> cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>: U(x) on the one probe |0>."""
+    return loem_family(qubit_rotation, 2, [[1, 0]])

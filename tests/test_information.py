@@ -79,8 +79,6 @@ class TestQfimPure:
             assert np.max(np.abs(q_plain - q_shift)) < 1e-8
 
     def test_additive_on_products(self):
-        from loem import generator_unitary, loem_family
-
         rng = np.random.default_rng(6)
         for d in (2, 3):
             gens = []

@@ -318,3 +318,18 @@ class TestGeneratorUnitary:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             generator_unitary([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    def test_large_hermitian_accepted(self):
+        # V diag(1e5 l) V† is Hermitian up to roundoff far above an absolute 1e-12
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        g = (q * (1e5 * rng.normal(size=4))) @ q.conj().T
+        assert np.max(np.abs(g - g.conj().T)) > 1e-12
+        u, _ = generator_unitary([g, np.zeros((4, 4))])(np.array([1e-5, 0.3]))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+    def test_tiny_non_hermitian_rejected(self):
+        rng = np.random.default_rng(0)
+        g = 1e-13 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        with pytest.raises(ValueError, match="generator 0 is not Hermitian"):
+            generator_unitary([g])

@@ -10,7 +10,10 @@ from loem import (
     StateFamily,
     check_unitary,
     derivatives,
+    loem_family,
+    orthogonal_probes,
     qubit_family,
+    qubit_rotation,
     qubit_unitary,
     tensor_product,
 )
@@ -146,3 +149,28 @@ class TestValidators:
             check_unitary(np.full((2, 2), np.nan))
         with pytest.raises(ValueError):
             check_unitary(np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2)]))
+
+
+class TestLoemFamily:
+    @pytest.mark.parametrize("probes", [np.array([1.0, 0.0]), np.zeros((1, 2, 2)), np.zeros((0, 2))])
+    def test_probes_not_a_nonempty_matrix_rejected(self, probes):
+        with pytest.raises(ValueError, match="non-empty"):
+            loem_family(qubit_rotation, 2, probes)
+
+    def test_qubit_family_is_column_zero_of_the_rotation(self):
+        angles = [0.0, np.pi, -np.pi, -0.7, 2.3, 1e6]
+        x = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(4, 9, 2)
+        family = qubit_family()
+        assert np.array_equal(family.evaluate(x), qubit_unitary(x[..., 0], x[..., 1])[..., :, 0])
+        assert np.array_equal(derivatives(family, x), qubit_rotation(x)[1]()[..., :, 0].swapaxes(-1, -2))
+
+    def test_evaluate_does_not_ask_for_du(self):
+        def du():
+            raise RuntimeError("dU asked for")
+
+        family = loem_family(lambda x: (qubit_rotation(x)[0], du), 2, orthogonal_probes(2))
+        x = np.array([0.4, 1.1])
+        u = qubit_unitary(0.4, 1.1)
+        assert np.array_equal(family.evaluate(x), tensor_product([u[:, 0], u[:, 1]]))
+        with pytest.raises(RuntimeError, match="dU asked for"):
+            derivatives(family, x)
