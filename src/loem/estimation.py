@@ -81,8 +81,8 @@ class TrialConfig:
             raise ValueError(f"shots must be in [1, 2**63), got {self.shots!r}")
         if not 2 <= self.repeats < 2**63:
             raise ValueError(f"repeats must be in [2, 2**63), got {self.repeats!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be an integer in [0, 2**128) (a Philox key), got {self.seed!r}")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
 

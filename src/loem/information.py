@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CurvatureConsistencyError, DivergentInformationError
-from .quantum import StateFamily, central_difference, check_probabilities, derivatives
+from .quantum import _CHUNK, StateFamily, central_difference, check_probabilities, derivatives
 
 __all__ = [
     "qfim_pure",
@@ -57,17 +57,13 @@ def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return q
 
 
-def _sld_applied(state: np.ndarray, deriv: np.ndarray) -> np.ndarray:
-    """L|psi> for the pure-state SLD, without the d x d matrix."""
-    return 2.0 * (deriv * np.vdot(state, state) + state * np.vdot(deriv, state))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the result is checked instead
 def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Mean Uhlmann curvature U_ij = (i/4) <psi|[L_i, L_j]|psi>.
 
-    Each entry is computed along two independent routes: the SLD-commutator
-    definition above and the pure-state reduction -2 Im <d_i psi|d_j psi>.
+    Each entry is computed along two routes: the SLD-commutator definition
+    above, from the scalars <psi|psi>, <d_i psi|psi> and <d_i psi|d_j psi>
+    (no state-sized vector), and the pure-state reduction -2 Im <d_i psi|d_j psi>.
     A disagreement beyond _CONSISTENCY_TOL times max(1, max_i |d_i psi|^2)
     (e.g. a Jacobian inconsistent with the state's normalization) raises
     CurvatureConsistencyError.  The scale follows the finite-difference
@@ -81,15 +77,17 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     if state.ndim != 1:
         raise ValueError(f"uhlmann_curvature takes one state, got shape {state.shape}")
     m = jac.shape[1]
-    applied = [_sld_applied(state, jac[:, i]) for i in range(m)]
+    norm = np.vdot(state, state).real
+    overlaps = [np.vdot(jac[:, i], state) for i in range(m)]  # c_i = <d_i psi|psi>
     tol = _CONSISTENCY_TOL * max([1.0] + [np.vdot(jac[:, i], jac[:, i]).real for i in range(m)])
     curv = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            # <psi|L_i L_j|psi> = (L_i psi)† (L_j psi); the commutator keeps
-            # only the imaginary part.
-            commutator = -0.5 * np.imag(np.vdot(applied[i], applied[j]))
-            reduction = -2.0 * np.imag(np.vdot(jac[:, i], jac[:, j]))
+            gram = np.vdot(jac[:, i], jac[:, j])
+            # L_i|psi> = 2(n|d_i psi> + c_i|psi>) with n = <psi|psi>, so (i/4)<psi|[L_i, L_j]|psi>
+            # = -(1/2) Im <L_i psi|L_j psi> = -2n(n Im G_ij + Im(conj(c_i) c_j)), G_ij = <d_i psi|d_j psi>.
+            commutator = -2.0 * norm * (norm * gram.imag + (overlaps[i].conjugate() * overlaps[j]).imag)
+            reduction = -2.0 * gram.imag
             if abs(commutator - reduction) > tol:
                 raise CurvatureConsistencyError(
                     f"curvature entry ({i},{j}): SLD route {float(commutator)!r} vs "
@@ -140,9 +138,9 @@ def average_qfim(
 ) -> np.ndarray:
     """Monte Carlo mean of the QFIM over a uniform prior on a parameter box.
 
-    Points are drawn up front from a counter-based Philox stream keyed by
-    ``rng_seed``, so the result depends only on (seed, samples), and the
-    family evaluates all of them in one batched call.
+    Points come from a counter-based Philox stream keyed by ``rng_seed`` in
+    batches of _CHUNK // dim, added to the sum point by point in stream order,
+    so the result depends only on (seed, samples), not on the batch size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -150,5 +148,10 @@ def average_qfim(
     if box_arr.shape != (family.n_params, 2):
         raise ValueError(f"box must have shape ({family.n_params}, 2), got {box_arr.shape}")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    points = rng.uniform(box_arr[:, 0], box_arr[:, 1], size=(samples, family.n_params))
-    return qfim_pure(family.evaluate(points), derivatives(family, points)).mean(axis=0)
+    batch = max(1, _CHUNK // family.dim)
+    total = np.full((family.n_params, family.n_params), -0.0)  # -0.0 + x == x, signed zeros included
+    for start in range(0, samples, batch):
+        points = rng.uniform(box_arr[:, 0], box_arr[:, 1], size=(min(batch, samples - start), family.n_params))
+        q = qfim_pure(family.evaluate(points), derivatives(family, points))
+        total = np.concatenate([total[None], q]).sum(axis=0)
+    return total / samples

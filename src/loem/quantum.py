@@ -35,6 +35,8 @@ UnitaryFamily = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray
 #: derivatives in the test suite.
 DEFAULT_STEP = 1e-5
 _UNITARY_ATOL = 1e-12
+_MAX_DENSE_DIM = 6**6  # amplitudes d**K of the largest product state loem_family builds
+_CHUNK = 2**14  # amplitudes per temporary of a Jacobian step or a batch of average_qfim states
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
@@ -92,14 +94,24 @@ def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]
 
 
 def tensor_product(states: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of state vectors (..., d_k), first factor most significant."""
+    """Kronecker product of state vectors (..., d_k), first factor most significant, folded from the last."""
     if len(states) == 0:
         raise ValueError("tensor_product requires at least one state")
-    out = np.asarray(states[0], dtype=complex)
-    for state in states[1:]:
-        out = out[..., :, None] * np.asarray(state, dtype=complex)[..., None, :]
+    out = np.asarray(states[-1], dtype=complex)
+    for state in states[-2::-1]:
+        out = np.asarray(state, dtype=complex)[..., :, None] * out[..., None, :]  # the long axis inside
         out = out.reshape(out.shape[:-2] + (-1,))
     return out
+
+
+def _add_outer(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a[..., None] * b[..., None, None, :] for a contiguous out (..., P, d, n), in _CHUNK-amplitude slices."""
+    m, n = a.shape[-2] * a.shape[-1], b.shape[-1]
+    out, a, b = out.reshape(-1, m, n), a.reshape(-1, m), b.reshape(-1, n)
+    batch, rows = max(1, _CHUNK // (m * n)), max(1, _CHUNK // n)  # n = d**(K-1) <= _CHUNK
+    for k in range(0, len(out), batch):
+        for j in range(0, m, rows):
+            out[k : k + batch, j : j + rows] += a[k : k + batch, j : j + rows, None] * b[k : k + batch, None, :]
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,9 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
     probes = np.asarray(probes, dtype=complex)
     if probes.ndim != 2 or probes.size == 0:
         raise ValueError(f"probes must be a non-empty (K, d) array, got shape {probes.shape}")
-    d = probes.shape[1]
+    k, d = probes.shape
+    if d ** min(k, 16) > _MAX_DENSE_DIM:  # d**K itself can take seconds to compute; 2**16 is already above
+        raise ValueError(f"the dense state would have d**K = {d}**{k} amplitudes, above 6**6 = {_MAX_DENSE_DIM}")
 
     def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         u, du = unitary_family(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -168,17 +182,18 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
         return tensor_product([u @ probe for probe in probes])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        # d(s (x) a) = ds (x) a + s (x) da, keeping the parameter axis of ds (..., P, D) outside
+        # From the last factor: d(a (x) s) = a (x) ds + da (x) s for a suffix state s, one (..., P, d, D) array
         u, deferred_du = unitary(x)
         du = deferred_du()
-        (state, jac), *rest = [(u @ probe, du @ probe) for probe in probes]
-        for a, da in rest:
-            jac = tensor_product([jac, a[..., None, :]])
-            jac += tensor_product([state[..., None, :], da])
-            state = tensor_product([state, a])
+        *rest, (state, jac) = [(u @ probe, du @ probe) for probe in probes]
+        for i, (a, da) in reversed(list(enumerate(rest))):
+            jac = a[..., None, :, None] * jac[..., :, None, :]
+            _add_outer(jac, da, state)
+            jac = jac.reshape(jac.shape[:-2] + (-1,))
+            state = tensor_product([a, state]) if i else None  # skip the full state, which nothing reads
         return jac.swapaxes(-1, -2)
 
-    return StateFamily(dim=d ** len(probes), n_params=n_params, evaluate=evaluate, jacobian=jacobian)
+    return StateFamily(dim=d**k, n_params=n_params, evaluate=evaluate, jacobian=jacobian)
 
 
 def qubit_family() -> StateFamily:

@@ -10,6 +10,10 @@ Nothing in ``loem`` calls these; each is the reference of one library path:
   ``uhlmann_curvature``'s matrix-free commutator.
 - ``phase_shifted_family``: a family times a smooth global phase, to test
   gauge invariance through central differences.
+- ``left_fold_state`` and ``left_fold_jacobian``: the product state and its
+  product-rule Jacobian folded from the first factor, the reference of
+  ``loem_family``, which folds from the last.  Both orders multiply and add
+  the same numbers when K <= 2; from K = 3 on they differ by roundoff.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from loem import NOISE_MODELS, STATUS_BOUNDARY, STATUS_FAILED, STATUS_OK, StateFamily, check_probabilities
+from loem.quantum import UnitaryFamily
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -142,3 +147,28 @@ def phase_shifted_family(family: StateFamily, alpha: Callable[[np.ndarray], np.n
         return np.exp(1j * alpha(x))[..., None] * family.evaluate(x)
 
     return StateFamily(dim=family.dim, n_params=family.n_params, evaluate=evaluate)
+
+
+def _left_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def left_fold_state(unitary_family: UnitaryFamily, probes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(..((U p_1 (x) U p_2) (x) U p_3)..) at points x (..., P)."""
+    u, _ = unitary_family(np.asarray(x, dtype=float))
+    state, *rest = [u @ probe for probe in np.asarray(probes, dtype=complex)]
+    for a in rest:
+        state = _left_kron(state, a)
+    return state
+
+
+def left_fold_jacobian(unitary_family: UnitaryFamily, probes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d(s (x) a) = ds (x) a + s (x) da, folded from the first factor; (..., dim, P)."""
+    u, deferred_du = unitary_family(np.asarray(x, dtype=float))
+    du = deferred_du()
+    (state, jac), *rest = [(u @ probe, du @ probe) for probe in np.asarray(probes, dtype=complex)]
+    for a, da in rest:
+        jac = _left_kron(jac, a[..., None, :]) + _left_kron(state[..., None, :], da)
+        state = _left_kron(state, a)
+    return jac.swapaxes(-1, -2)

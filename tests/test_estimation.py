@@ -288,6 +288,14 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(0.1, 0.1, 1, shots=10, repeats=10, seed=0, noise_model="gaussian")
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**200], ids=["-1", "2**128", "2**200"])
+    def test_seed_outside_philox_keys_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed .*2\*\*128.*{seed}"):
+            TrialConfig(0.1, 0.1, 1, shots=10, repeats=10, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert TrialConfig(0.1, 0.1, 1, shots=10, repeats=10, seed=2**128 - 1).seed == 2**128 - 1
+
 
 class TestRunTrials:
     def test_reference_campaign(self):
@@ -489,6 +497,13 @@ class TestHeisenbergSweep:
             heisenberg_sweep(np.radians(8.5), np.radians(8.5), list(range(1, 12)), 100, 10, seed=0)
         with pytest.raises(ValueError, match="N = 11$"):  # the first failing N of a sweep with gaps
             heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1, 4, 11, 30, 400], 100, 10, seed=0)
+
+    def test_seed_outside_philox_keys_runs_no_campaign(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=r"2\*\*128"):
+            heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1, 2, 3], 100, 10, seed=2**128)
+        assert calls == []
 
     def test_out_of_range_last_n_runs_no_campaign(self, monkeypatch):
         calls = []

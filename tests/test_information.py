@@ -1,9 +1,12 @@
 """Tests for Fisher information matrices, SLDs, curvature, and bounds."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import loem.information
 
 from loem import (
     CurvatureConsistencyError,
@@ -140,6 +143,42 @@ class TestUhlmannCurvature:
                 [[np.real(0.25j * np.vdot(psi, (a @ b - b @ a) @ psi)) for b in slds] for a in slds]
             )
             assert np.max(np.abs(uhlmann_curvature(psi, jac) - dense)) < 1e-12
+
+    def test_matches_dense_sld_commutator_off_the_state_manifold(self):
+        # Not normalized, and <psi|d_i psi> has a real part, so the n and c_i terms of the
+        # expanded SLD route count (up to ~1e-7 at scale 1e-9); wherever the routes agree,
+        # the result must equal the dense oracle.  Larger scales make the routes disagree.
+        rng = np.random.default_rng(65)
+        matched = raised = 0
+        for scale in (1e-13, 1e-11, 1e-9, 1e-8, 1e-6):
+            for _ in range(200):
+                dim = int(rng.integers(2, 9))
+                psi = random_state(rng, dim) * (1.0 + scale * rng.normal())
+                jac = tangent_jacobian(rng, psi, 3) + scale * rng.normal(size=3) * psi[:, None]
+                try:
+                    curv = uhlmann_curvature(psi, jac)
+                except CurvatureConsistencyError:
+                    raised += 1
+                    continue
+                slds = [sld_pure(psi, jac[:, i]) for i in range(3)]
+                dense = np.array(
+                    [[np.real(0.25j * np.vdot(psi, (a @ b - b @ a) @ psi)) for b in slds] for a in slds]
+                )
+                assert np.max(np.abs(curv - dense)) < 1e-12
+                matched += 1
+        assert matched >= 500 and raised >= 200
+
+    def test_no_state_sized_array_at_d6(self):
+        family = generator_family(6)
+        x = np.array([0.4, 0.7])
+        state, jac = family.evaluate(x), derivatives(family, x)
+        tracemalloc.start()
+        try:
+            uhlmann_curvature(state, jac)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.nbytes / 100
 
     def test_antisymmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(8)
@@ -329,6 +368,31 @@ class TestAverageQfim:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             average_qfim(qubit_family(), self.BOX, samples=0, rng_seed=1)
+
+    @pytest.mark.parametrize("n_iter", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
+    def test_batches_add_up_to_one_batched_mean(self, n_iter, extra):
+        # points drawn batch by batch continue one stream, and the running sum adds them in order
+        family = antiparallel_family(n_iter)
+        samples = loem.information._CHUNK // family.dim + extra
+        rng = np.random.Generator(np.random.Philox(key=63))
+        points = rng.uniform([0.0, 0.0], [np.pi, 2 * np.pi], size=(samples, 2))
+        one_batch = qfim_pure(family.evaluate(points), derivatives(family, points)).mean(axis=0)
+        assert average_qfim(family, self.BOX, samples, rng_seed=63).tobytes() == one_batch.tobytes()
+
+    def test_memory_flat_in_samples(self):
+        family = antiparallel_family(1)
+        batch = loem.information._CHUNK // family.dim
+
+        def peak(samples: int) -> int:
+            tracemalloc.start()
+            try:
+                average_qfim(family, self.BOX, samples, rng_seed=64)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * batch) <= 1.25 * peak(2 * batch)
 
 
 def generator_family(d):

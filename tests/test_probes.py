@@ -44,10 +44,18 @@ class TestOrthogonalProbes:
         gram = probes.conj() @ probes.T
         assert np.max(np.abs(gram - np.eye(d))) < 1e-12
 
-    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("d", [0, 1])
     def test_out_of_range_rejected(self, d):
         with pytest.raises(ValueError):
             orthogonal_probes(d)
+
+    def test_d7_builds_but_its_dense_family_is_refused(self):
+        # the 6**6 cap guards the dense d**d state, inside loem_family, not the probe set
+        probes = orthogonal_probes(7)
+        assert np.array_equal(probes, np.eye(7))
+        gens = random_generators(np.random.default_rng(7), 7)
+        with pytest.raises(ValueError, match=r"d\*\*K = 7\*\*7"):
+            loem_family(generator_unitary(gens), 2, probes)
 
 
 class TestLoemState:

@@ -1,15 +1,18 @@
 """Tests for states, unitaries, tensor products, and family derivatives."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import loem.quantum
 from loem import (
     DerivativeError,
     StateFamily,
     check_unitary,
     derivatives,
+    generator_unitary,
     loem_family,
     orthogonal_probes,
     qubit_family,
@@ -17,6 +20,7 @@ from loem import (
     qubit_unitary,
     tensor_product,
 )
+from oracles import left_fold_jacobian, left_fold_state
 
 
 def brute_force_kron(a, b):
@@ -85,9 +89,9 @@ class TestTensorProduct:
         vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in (2, 3, 2)]
         vecs = [v / np.linalg.norm(v) for v in vecs]
         a, b, c = vecs
-        nested = tensor_product([a, tensor_product([b, c])])
         flat = tensor_product([a, b, c])
-        assert np.max(np.abs(nested - flat)) < 1e-14
+        for nested in (tensor_product([a, tensor_product([b, c])]), tensor_product([tensor_product([a, b]), c])):
+            assert np.max(np.abs(nested - flat)) < 1e-14
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -174,3 +178,102 @@ class TestLoemFamily:
         assert np.array_equal(family.evaluate(x), tensor_product([u[:, 0], u[:, 1]]))
         with pytest.raises(RuntimeError, match="dU asked for"):
             derivatives(family, x)
+
+
+def generator_rotation(d, seed):
+    rng = np.random.default_rng(seed)
+    gens = []
+    for _ in range(2):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        gens.append(g + g.conj().T)
+    return generator_unitary(gens)
+
+
+def random_probes(k, d, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+
+FOLD_CASES = {
+    "qubit-K1": (qubit_rotation, [[1, 0]]),
+    "qubit-K2": (qubit_rotation, np.eye(2)),
+    "qubit-identical-K2": (qubit_rotation, [[1, 0], [1, 0]]),
+    "generator-d3-K2-random": (generator_rotation(3, 70), random_probes(2, 3, 71)),
+    "qubit-K5-random": (qubit_rotation, random_probes(5, 2, 72)),
+    "generator-d3-K3": (generator_rotation(3, 73), np.eye(3)),
+    "generator-d4-K4": (generator_rotation(4, 74), np.eye(4)),
+    "generator-d3-K5-random": (generator_rotation(3, 75), random_probes(5, 3, 76)),
+    "generator-d5-K5": (generator_rotation(5, 77), np.eye(5)),
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRightFold:
+    """loem_family folds from the last factor; the left fold of tests/oracles.py is its reference."""
+
+    @pytest.mark.parametrize("chunk", [3, 40, loem.quantum._CHUNK])
+    @pytest.mark.parametrize("case", FOLD_CASES.values(), ids=FOLD_CASES.keys())
+    def test_matches_left_fold_oracle(self, monkeypatch, case, chunk):
+        # chunk 3 and 40 slice every Jacobian step of these small families, by batch entry and by row
+        monkeypatch.setattr(loem.quantum, "_CHUNK", chunk)
+        unitary_family, probes = case
+        family = loem_family(unitary_family, 2, probes)
+        rng = np.random.default_rng(78)
+        for x in (rng.uniform(-2.0, 2.0, size=2), rng.uniform(-2.0, 2.0, size=(3, 7, 2))):
+            pairs = [
+                (family.evaluate(x), left_fold_state(unitary_family, probes, x)),
+                (derivatives(family, x), left_fold_jacobian(unitary_family, probes, x)),
+            ]
+            for got, want in pairs:
+                if len(probes) <= 2:  # the two folds multiply and add the same numbers
+                    assert same_bits(got, want)
+                else:
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_two_factor_batch_across_slices_is_bit_equal(self):
+        # 5000 antiparallel points are three batch slices of the default chunk
+        x = np.random.default_rng(79).uniform(-4.0, 4.0, size=(5000, 2))
+        family = loem_family(qubit_rotation, 2, np.eye(2))
+        assert same_bits(derivatives(family, x), left_fold_jacobian(qubit_rotation, np.eye(2), x))
+
+    def test_jacobian_memory_at_d6(self):
+        # the result plus the last step's inputs and one _CHUNK slice; two full-size arrays would be 2x
+        family = loem_family(generator_rotation(6, 81), 2, np.eye(6))
+        x = np.array([0.4, 0.7])
+        derivatives(family, x)
+        tracemalloc.start()
+        try:
+            jac = derivatives(family, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * jac.nbytes
+
+
+class TestDenseCap:
+    def test_refused_at_construction_without_building(self):
+        def unitary(x):
+            raise AssertionError("the unitary family was called")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"d\*\*K = 10\*\*10 amplitudes"):
+                loem_family(unitary, 2, np.eye(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("d, k", [(6, 6), (2, 15), (7, 5), (1, 1000)])
+    def test_at_or_below_cap_accepted(self, d, k):
+        assert loem_family(qubit_rotation, 2, np.ones((k, d))).dim == d**k
+
+    @pytest.mark.parametrize("d, k", [(6, 7), (2, 16), (7, 6), (2, 10**5)])
+    def test_above_cap_rejected(self, d, k):
+        with pytest.raises(ValueError, match=rf"d\*\*K = {d}\*\*{k} "):
+            loem_family(qubit_rotation, 2, np.ones((k, d)))
