@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -77,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite(text: str) -> float:
-    """A finite float; the library checks the angle's range."""
+    """A finite float; the library checks the range of an angle or tolerance."""
     try:
         value = float(text)
     except ValueError:
@@ -162,7 +164,7 @@ def _parser() -> _Parser:
     p.add_argument("--family", choices=tuple(_FAMILIES), default="antiparallel")
     _add_angle_options(p)
     _add_n_option(p)
-    p.add_argument("--tol", type=float, default=1e-8, help="curvature tolerance")
+    p.add_argument("--tol", type=_finite, default=1e-8, help="curvature tolerance")
     _add_output_options(p)
 
     p = sub.add_parser("surface", help="four-port probability surfaces on an angle grid")
@@ -230,12 +232,13 @@ def _cells(part, fmt: str) -> list[str]:
     return ["null" if t in _NON_FINITE else t for t in text] if fmt == "json" else text
 
 
-def _write_table(handle, columns: list[str], table: list, fmt: str):
-    """Write equal-length columns, named ``columns``, as CSV or JSON.
+def _write_table(handle, columns: list[str], blocks, fmt: str):
+    """Write blocks of equal-length columns, named ``columns``, as CSV or JSON.
 
-    A column is a float64 ndarray or a sequence of Python ints and floats.
-    The text is what csv.writer, and json.dump with indent 2 and a final
-    newline, write for the rows; it is built _CHUNK rows at a time.
+    Each block is a list of columns, one per name; a column is a float64
+    ndarray or a sequence of Python ints and floats.  The text is what
+    csv.writer, and json.dump with indent 2 and a final newline, write for
+    the rows of every block in turn; it is built _CHUNK rows at a time.
     """
     if fmt == "json":
         row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in columns) + "\n  }"
@@ -244,11 +247,13 @@ def _write_table(handle, columns: list[str], table: list, fmt: str):
         row = ",".join(["%s"] * len(columns))
         head = empty = ",".join(columns) + "\n"
         sep = tail = "\n"
-    n_rows = len(table[0])
-    for start in range(0, n_rows, _CHUNK):
-        cells = [_cells(column[start : start + _CHUNK], fmt) for column in table]
-        handle.write(head if start == 0 else sep)
-        handle.write(sep.join(map(row.__mod__, zip(*cells))))
+    n_rows = 0
+    for table in blocks:
+        for start in range(0, len(table[0]), _CHUNK):
+            cells = [_cells(column[start : start + _CHUNK], fmt) for column in table]
+            handle.write(sep if n_rows else head)
+            handle.write(sep.join(map(row.__mod__, zip(*cells))))
+            n_rows += len(cells[0])
     handle.write(tail if n_rows else empty)
 
 
@@ -278,14 +283,17 @@ def _run_wcc(args) -> str:
     )
 
 
-def _run_surface(args) -> list[np.ndarray]:
+def _run_surface(args) -> Iterator[list[np.ndarray]]:
+    """The grid in bands of theta rows, each at most _CHUNK points (one row at least)."""
     angles = np.linspace(0.0, 360.0, args.resolution, endpoint=False)
-    theta_deg, phi_deg = np.meshgrid(angles, angles, indexing="ij")
-    probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), args.n)
-    return [theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]
+    band = max(1, _CHUNK // args.resolution)
+    for start in range(0, args.resolution, band):
+        theta_deg, phi_deg = np.meshgrid(angles[start : start + band], angles, indexing="ij")
+        probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), args.n)
+        yield [theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]
 
 
-def _run_simulate(args) -> list[tuple]:
+def _run_simulate(args) -> list[list[tuple]]:
     # Every row's TrialConfig is built, and so validated, before any campaign runs.
     trials = [
         TrialConfig(
@@ -308,10 +316,10 @@ def _run_simulate(args) -> list[tuple]:
             + [stats.m_times_mse_phi, stats.m_times_covariance, stats.qcrb_theta, stats.qcrb_phi]
             + [err_theta, err_phi, stats.n_failed]
         )
-    return list(zip(*rows))
+    return [list(zip(*rows))]
 
 
-def _run_heisenberg(args) -> list[tuple]:
+def _run_heisenberg(args) -> list[list[tuple]]:
     points = heisenberg_sweep(
         theta=math.radians(args.theta_deg),
         phi=math.radians(args.phi_deg),
@@ -332,10 +340,11 @@ def _run_heisenberg(args) -> list[tuple]:
         ]
         for point in points
     ]
-    return list(zip(*rows))
+    return [list(zip(*rows))]
 
 
-# command -> (runner, column schema of its table; None for a text result)
+# command -> (runner, column schema of its table; None for a text result).
+# A table's runner returns its rows as blocks of columns.
 _COMMANDS = {
     "probs": (_run_probs, None),
     "qfim": (_run_qfim, None),
@@ -349,11 +358,16 @@ _COMMANDS = {
 def execute(args: argparse.Namespace) -> int:
     """Run a parsed command line and write its output. Returns 0.
 
-    The output is opened only after the run succeeds, so a failed run leaves
-    an existing --output file untouched.
+    The output is opened only after a text result, or a table's first block,
+    is computed, so a run that fails there leaves an existing --output file
+    untouched.  The first surface band holds every phi, the largest angle
+    among them, so an N * angle overflow fails before the output opens.
     """
     run, columns = _COMMANDS[args.command]
     result = run(args)
+    if columns is not None:
+        blocks = iter(result)
+        result = itertools.chain([next(blocks)], blocks)
     if args.output is None:
         target = contextlib.nullcontext(sys.stdout)
     else:

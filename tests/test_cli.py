@@ -388,7 +388,7 @@ def reference_table(columns: list[str], rows: list[list], fmt: str) -> str:
 
 def written_table(columns: list[str], table: list, fmt: str) -> str:
     handle = io.StringIO()
-    _write_table(handle, columns, table, fmt)
+    _write_table(handle, columns, [table], fmt)
     return handle.getvalue()
 
 
@@ -436,6 +436,23 @@ class TestTableWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):
         assert written_table(["a", "b"], [[], []], fmt) == reference_table(["a", "b"], [], fmt)
+        handle = io.StringIO()
+        _write_table(handle, ["a", "b"], [[[], []], [np.empty(0), []]], fmt)
+        assert handle.getvalue() == reference_table(["a", "b"], [], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cuts", [[0], [3], [0, 0, 5, 5, 9], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]])
+    def test_blocks_join_into_one_table(self, monkeypatch, fmt, cuts):
+        # Blocks split at any rows, empty ones too, and across chunk edges
+        # give the bytes of the whole table in one block.
+        monkeypatch.setattr(loem.cli, "_CHUNK", 4)
+        floats = (SPECIAL_FLOATS * 2)[:11]
+        table = [np.array(floats), list(range(11))]
+        edges = [0, *cuts, 11]
+        blocks = [[column[a:b] for column in table] for a, b in zip(edges, edges[1:])]
+        handle = io.StringIO()
+        _write_table(handle, ["a", "b"], iter(blocks), fmt)
+        assert handle.getvalue() == written_table(["a", "b"], table, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_special_values(self, fmt):
@@ -446,15 +463,21 @@ class TestTableWriter:
         assert written_table(["a", "b", "c"], table, fmt) == reference_table(["a", "b", "c"], rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_surface_matches_reference_writer(self, tmp_path, fmt):
-        out = tmp_path / f"surface.{fmt}"
-        assert main(["surface", "--resolution", "97", "--n", "3", "--format", fmt, "--output", str(out)]) == EXIT_OK
-        # The row lists the surface command built before it returned columns.
-        angles = np.linspace(0.0, 360.0, 97, endpoint=False)
-        theta_deg, phi_deg = np.meshgrid(angles, angles, indexing="ij")
-        probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), 3)
-        rows = np.column_stack([theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]).tolist()
-        assert out.read_bytes() == reference_table(SURFACE_COLUMNS, rows, fmt).encode()
+    def test_surface_matches_reference_writer(self, monkeypatch, tmp_path, fmt):
+        # Bands of 42 theta rows with a ragged last band, of one row
+        # (R > _CHUNK), and of 6 rows with a ragged last band.
+        for chunk, resolution in [(_CHUNK, 97), (64, 97), (64, 10)]:
+            monkeypatch.setattr(loem.cli, "_CHUNK", chunk)
+            out = tmp_path / f"surface.{fmt}"
+            args = ["surface", "--resolution", str(resolution), "--n", "3", "--format", fmt, "--output", str(out)]
+            assert main(args) == EXIT_OK
+            # The row lists the surface command built, from the full grid,
+            # before it returned columns.
+            angles = np.linspace(0.0, 360.0, resolution, endpoint=False)
+            theta_deg, phi_deg = np.meshgrid(angles, angles, indexing="ij")
+            probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), 3)
+            rows = np.column_stack([theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]).tolist()
+            assert out.read_bytes() == reference_table(SURFACE_COLUMNS, rows, fmt).encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_bounded_by_chunk(self, fmt):
@@ -462,12 +485,25 @@ class TestTableWriter:
             table = [np.random.default_rng(0).random(n_rows)]  # distinct floats: no cell shared
             tracemalloc.start()
             try:
-                _write_table(Discard(), ["p"], table, fmt)
+                _write_table(Discard(), ["p"], [table], fmt)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(8 * _CHUNK) <= 1.25 * peak(2 * _CHUNK)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_surface_memory_flat_in_resolution(self, tmp_path, fmt):
+        def peak(resolution: int) -> int:
+            args = ["surface", "--resolution", str(resolution), "--format", fmt, "--output", str(tmp_path / "s")]
+            tracemalloc.start()
+            try:
+                assert main(args) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) <= 1.25 * peak(128)
 
 
 def one_error_line(err: str) -> bool:
@@ -506,6 +542,8 @@ REJECTED_VALUES = [
     (["simulate", "--phi-deg", "36", "--repeats", "1"], ""),
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "0"], ""),
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"], ""),
+    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "inf"], "--tol: must be finite"),
+    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "1e400"], "--tol: must be finite"),
     (["probs", "--theta-deg", "1e300", "--phi-deg", "1", "--n", "1000000000000000"], ""),
     (["surface", "--n", HUGE_N], ""),
     (["simulate", "--phi-deg", "36", "--n", HUGE_N], f"pi/(2N) cannot be computed for N = {HUGE_N}"),
@@ -580,6 +618,43 @@ class TestExitCodes:
         assert main(args + theta + ["--output", str(out)]) == code
         assert out.read_text() == "prior contents\n"
         assert one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["surface", "--n", HUGE_N], ["simulate", "--theta-deg", "40", "95", "--phi-deg", "36"]],
+        ids=["surface-huge-n", "simulate-out-of-range"],
+    )
+    def test_rejected_run_keeps_output_bytes(self, tmp_path, capsys, args):
+        out = tmp_path / "kept"
+        prior = b"prior\r\ncontents \xff\n"
+        out.write_bytes(prior)
+        assert main(args + ["--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and one_error_line(captured.err)
+        assert out.read_bytes() == prior
+
+    def test_huge_resolution_ends_at_once(self, tmp_path):
+        # 10^14 angles need 728 TiB, beyond any 48-bit address space, so the
+        # first band's allocation is refused without touching memory.  numpy
+        # reports the refused request to tracemalloc as allocated, so the
+        # memory bound is the child's resident high-water mark instead.
+        out = tmp_path / "surface.csv"
+        script = (
+            "import resource, sys, time\n"
+            "from loem.cli import main\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before, start = rss(), time.perf_counter()\n"
+            "code = main(sys.argv[1:])\n"
+            "print(time.perf_counter() - start, rss() - before)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loem.cli.__file__)))
+        args = ["surface", "--resolution", str(10**14), "--output", str(out)]
+        done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_USAGE and one_error_line(done.stderr)
+        assert not out.exists()
+        elapsed, grown_kib = map(float, done.stdout.split())
+        assert elapsed < 2.0 and grown_kib < 5 * 1024
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["simulate", "--theta-deg", "95", "--n", "1"]) == EXIT_USAGE
@@ -665,3 +740,59 @@ class TestCliBoundary:
             assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
         else:
             assert one_error_line(stderr) and out.getvalue() == ""
+
+    # Each size option mixes valid values, so that runs succeed, with any value up to the same cap.
+    ANGLES = st.floats(0.5, 22.0) | st.floats(0.0, 90.0) | st.floats(allow_nan=True, allow_infinity=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["surface", "simulate", "heisenberg"]),
+        fmt=st.sampled_from(["csv", "json"]),
+        theta=ANGLES,
+        phi=ANGLES,
+        n=st.integers(1, 4) | st.integers(-1, 4) | st.integers(10**15, 10**400),
+        resolution=st.integers(2, 6) | st.integers(-1, 6),
+        shots=st.integers(10, 50) | st.integers(-1, 50),
+        repeats=st.integers(2, 8) | st.integers(-1, 8),
+        n_max=st.integers(1, 3) | st.integers(-1, 3),
+        resamples=st.sampled_from([2, 3]),
+        noise=st.sampled_from(["multinomial", "poisson"]),
+        seed=st.integers(0, 2**128 - 1),
+    )
+    def test_table_commands(self, command, fmt, theta, phi, n, resolution, shots, repeats, n_max, **rest):
+        args = [command, f"--format={fmt}"]
+        if command == "surface":
+            args += [f"--n={n}", f"--resolution={resolution}"]
+        else:
+            args += [f"--theta-deg={theta!r}", f"--phi-deg={phi!r}", f"--shots={shots}", f"--repeats={repeats}"]
+            args.append(f"--seed={rest['seed']}")
+        if command == "simulate":
+            args += [f"--n={n}", f"--resamples={rest['resamples']}", f"--noise={rest['noise']}"]
+        elif command == "heisenberg":
+            args.append(f"--n-max={n_max}")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+        stderr = err.getvalue() + "".join(f"{w.message}\n" for w in caught)
+        text = out.getvalue()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
+        if code != EXIT_OK:
+            assert one_error_line(stderr) and text == ""
+            return
+        assert stderr == "" and "nan" not in text and "inf" not in text
+        columns = {"surface": SURFACE_COLUMNS, "simulate": SIMULATE_COLUMNS, "heisenberg": HEISENBERG_COLUMNS}
+        if fmt == "json":
+
+            def reject(name):
+                raise ValueError(f"non-RFC 8259 constant {name}")
+
+            records = json.loads(text, parse_constant=reject)
+            assert all(list(record) == columns[command] for record in records)
+            rows = [list(record.values()) for record in records]
+        else:
+            header, *rows = csv.reader(io.StringIO(text))
+            assert header == columns[command]
+            rows = [[float(v) for v in row] for row in rows]
+        assert rows and all(math.isfinite(v) for row in rows for v in row)
