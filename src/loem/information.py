@@ -47,9 +47,9 @@ def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     for states (..., dim); a non-finite result raises DivergentInformationError.
     """
     state, jac = _check_pair(state, jac)
-    jac_h = jac.conj().swapaxes(-1, -2)
-    gram = jac_h @ jac
-    overlap = (jac_h @ state[..., None])[..., 0]  # entry i: <d_i psi|psi>
+    cols = jac.swapaxes(-1, -2)  # a view; vecdot conjugates its first argument in its loop, so nothing is copied
+    gram = np.vecdot(cols[..., :, None, :], cols[..., None, :, :])
+    overlap = np.vecdot(cols, state[..., None, :])  # entry i: <d_i psi|psi>
     q = 4.0 * np.real(gram - overlap[..., :, None] * overlap.conj()[..., None, :])
     q = 0.5 * (q + q.swapaxes(-1, -2))
     if not np.isfinite(q).all():

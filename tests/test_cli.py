@@ -556,6 +556,32 @@ REJECTED_VALUES = [
 ]
 
 
+# The REJECTED_VALUES rows whose refused allocation is bounded in a child process.
+HUGE_REPEATS_ROWS = [args for args, _ in REJECTED_VALUES if HUGE_REPEATS in args]
+
+# Runs main(argv) and prints, as its last stdout line, main's wall time and
+# the growth of the resident high-water mark (ru_maxrss, KiB).  numpy reports
+# a refused allocation to tracemalloc as allocated and never releases it, so
+# tracemalloc cannot bound these runs; the child's own resident set can.
+_CHILD_MAIN = (
+    "import resource, sys, time\n"
+    "from loem.cli import main\n"
+    "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "before, start = rss(), time.perf_counter()\n"
+    "code = main(sys.argv[1:])\n"
+    "print(time.perf_counter() - start, rss() - before)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_main_in_child(args: list[str]) -> tuple[subprocess.CompletedProcess, float, float]:
+    """The finished child, main's wall time in seconds and its ru_maxrss growth in KiB."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loem.cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", _CHILD_MAIN, *args], env=env, capture_output=True, text=True)
+    elapsed, grown_kib = map(float, done.stdout.splitlines()[-1].split())  # the last line, after any table
+    return done, elapsed, grown_kib
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("args, says", REJECTED_VALUES, ids=[case_id(args) for args, _ in REJECTED_VALUES])
     def test_rejected_value_exit_one(self, capsys, args, says):
@@ -635,25 +661,17 @@ class TestExitCodes:
 
     def test_huge_resolution_ends_at_once(self, tmp_path):
         # 10^14 angles need 728 TiB, beyond any 48-bit address space, so the
-        # first band's allocation is refused without touching memory.  numpy
-        # reports the refused request to tracemalloc as allocated, so the
-        # memory bound is the child's resident high-water mark instead.
+        # first band's allocation is refused without touching memory.
         out = tmp_path / "surface.csv"
-        script = (
-            "import resource, sys, time\n"
-            "from loem.cli import main\n"
-            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "before, start = rss(), time.perf_counter()\n"
-            "code = main(sys.argv[1:])\n"
-            "print(time.perf_counter() - start, rss() - before)\n"
-            "sys.exit(code)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loem.cli.__file__)))
-        args = ["surface", "--resolution", str(10**14), "--output", str(out)]
-        done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+        done, elapsed, grown_kib = run_main_in_child(["surface", "--resolution", str(10**14), "--output", str(out)])
         assert done.returncode == EXIT_USAGE and one_error_line(done.stderr)
         assert not out.exists()
-        elapsed, grown_kib = map(float, done.stdout.split())
+        assert elapsed < 2.0 and grown_kib < 5 * 1024
+
+    @pytest.mark.parametrize("args", HUGE_REPEATS_ROWS, ids=[case_id(args) for args in HUGE_REPEATS_ROWS])
+    def test_huge_repeats_ends_at_once(self, args):
+        done, elapsed, grown_kib = run_main_in_child(args)
+        assert done.returncode == EXIT_USAGE and one_error_line(done.stderr)
         assert elapsed < 2.0 and grown_kib < 5 * 1024
 
     def test_usage_error_exit_one(self, capsys):

@@ -107,6 +107,49 @@ class TestQfimPure:
         with pytest.raises(ValueError):
             qfim_pure(np.array([1.0, 0.0]), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)], ids=["point", "batch"])
+    def test_strided_columns_match_contiguous_columns(self, d, shape):
+        # Central differences stack the columns last, so each column is strided.
+        # The same numbers with contiguous columns may be summed in another order:
+        # each term of 4 (G_ij - c_i conj(c_j)) is then within the dot-product
+        # bound dim * eps * max_i |d_i psi|^2 of the exact value, on either side.
+        family = dataclasses.replace(generator_family(d), jacobian=None)
+        x = np.random.default_rng(67).uniform(0.2, 0.8, size=shape)
+        state, jac = family.evaluate(x), derivatives(family, x)
+        contiguous = np.ascontiguousarray(jac.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert jac[..., 0].strides[-1] != contiguous[..., 0].strides[-1]
+        scale = np.max(np.sum(np.abs(jac) ** 2, axis=-2))
+        tol = 4 * 2 * 2 * family.dim * np.finfo(float).eps * scale
+        assert np.max(np.abs(qfim_pure(state, jac) - qfim_pure(state, contiguous))) <= tol
+
+    def test_no_copy_of_the_jacobian_at_d6(self):
+        family = generator_family(6)
+        x = np.array([0.4, 0.7])
+        state, jac = family.evaluate(x), derivatives(family, x)
+        tracemalloc.start()
+        try:
+            qfim_pure(state, jac)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < jac.nbytes / 100
+
+    def test_geometry_point_peak_near_its_arrays_at_d6(self):
+        # evaluate, Jacobian, QFIM and curvature of one point allocate little beyond the
+        # state and the Jacobian they return
+        family = generator_family(6)
+        x = np.array([0.4, 0.7])
+        tracemalloc.start()
+        try:
+            state, jac = family.evaluate(x), derivatives(family, x)
+            qfim_pure(state, jac)
+            uhlmann_curvature(state, jac)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (state.nbytes + jac.nbytes)
+
 
 class TestSld:
     def test_zero_derivative_gives_zero_operator(self):
