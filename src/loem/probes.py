@@ -41,7 +41,7 @@ def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
     The deferred dU/dx_k = V (D o V† G_k V) V† reuses H = V diag(l) V† from U; the divided differences
     of e^{-il} (Daleckii-Krein) D_ab = -i e^{-i(l_a+l_b)/2} sinc((l_a-l_b)/2pi) need no branch for equal l.
     """
-    gens = np.asarray(generators, dtype=complex)
+    gens = np.array(generators, dtype=complex)  # a copy: a caller's later edit must not bypass the check
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise ValueError("generators must be a sequence of square matrices")
     for k, g in enumerate(gens):

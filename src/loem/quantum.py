@@ -44,7 +44,7 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("unitary must be a square matrix")
-    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])))
+    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])), initial=0.0)  # an empty stack passes
     if not defect <= _UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
     return u
@@ -100,7 +100,7 @@ def tensor_product(states: Sequence[np.ndarray]) -> np.ndarray:
     out = np.asarray(states[-1], dtype=complex)
     for state in states[-2::-1]:
         out = np.asarray(state, dtype=complex)[..., :, None] * out[..., None, :]  # the long axis inside
-        out = out.reshape(out.shape[:-2] + (-1,))
+        out = out.reshape(out.shape[:-2] + (out.shape[-2] * out.shape[-1],))  # not -1: a batch may be empty
     return out
 
 
@@ -162,35 +162,54 @@ def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
 
 
 def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray) -> StateFamily:
-    """Family x -> tensor product of U(x)|p_k> over the rows of probes (K, d), first most significant."""
-    probes = np.asarray(probes, dtype=complex)
+    """Family x -> tensor product of U(x)|p_k> over the rows of probes (K, d), first most significant.
+
+    U must be a deterministic function of x, as StateFamily requires of evaluate: the family keeps
+    the last points' deferred dU, factor states U|p_k> and suffix products U|p_{k+1}> (x) ... (x) U|p_K>,
+    so evaluate followed by derivatives at the same points calls the unitary family once.  Per point
+    that is K d + d**K / (d-1) amplitudes at most, held until a call at other points.
+    """
+    probes = np.array(probes, dtype=complex)  # a copy: a caller's later edit must not change the family
     if probes.ndim != 2 or probes.size == 0:
         raise ValueError(f"probes must be a non-empty (K, d) array, got shape {probes.shape}")
     k, d = probes.shape
     if d ** min(k, 16) > _MAX_DENSE_DIM:  # d**K itself can take seconds to compute; 2**16 is already above
         raise ValueError(f"the dense state would have d**K = {d}**{k} amplitudes, above 6**6 = {_MAX_DENSE_DIM}")
+    last = (None, None)  # (key, point) of the last points, replaced in one assignment
 
-    def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-        u, du = unitary_family(np.atleast_1d(np.asarray(x, dtype=float)))
+    def point(x: np.ndarray) -> tuple[Callable[[], np.ndarray], list[np.ndarray], list[np.ndarray]]:
+        """Deferred dU, factors U|p_k> and suffixes[i] = factors[i+1] (x) ... (x) factors[K-1] at points x."""
+        nonlocal last
+        x = np.atleast_1d(np.array(x, dtype=float))  # a private copy: a deferred dU may read x later
+        key = (x.shape, x.tobytes())
+        last_key, value = last
+        if last_key == key:
+            return value
+        u, du = unitary_family(x)
         u = check_unitary(u)
         if u.shape[-2:] != (d, d):
             raise ValueError(f"unitary shape {u.shape[-2:]} does not match probe dimension {d}")
-        return u, du
+        factors = [u @ probe for probe in probes]
+        suffixes = factors[1:]
+        for i in range(k - 3, -1, -1):
+            suffixes[i] = tensor_product([suffixes[i], suffixes[i + 1]])
+        value = (du, factors, suffixes)
+        last = (key, value)
+        return value
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        u, _ = unitary(x)
-        return tensor_product([u @ probe for probe in probes])
+        _, factors, suffixes = point(x)
+        return tensor_product([factors[0], suffixes[0]]) if suffixes else factors[0].copy()
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # From the last factor: d(a (x) s) = a (x) ds + da (x) s for a suffix state s, one (..., P, d, D) array
-        u, deferred_du = unitary(x)
+        deferred_du, factors, suffixes = point(x)
         du = deferred_du()
-        *rest, (state, jac) = [(u @ probe, du @ probe) for probe in probes]
-        for i, (a, da) in reversed(list(enumerate(rest))):
-            jac = a[..., None, :, None] * jac[..., :, None, :]
-            _add_outer(jac, da, state)
-            jac = jac.reshape(jac.shape[:-2] + (-1,))
-            state = tensor_product([a, state]) if i else None  # skip the full state, which nothing reads
+        jac = du @ probes[-1]
+        for i in range(k - 2, -1, -1):
+            jac = factors[i][..., None, :, None] * jac[..., :, None, :]
+            _add_outer(jac, du @ probes[i], suffixes[i])
+            jac = jac.reshape(jac.shape[:-2] + (jac.shape[-2] * jac.shape[-1],))
         return jac.swapaxes(-1, -2)
 
     return StateFamily(dim=d**k, n_params=n_params, evaluate=evaluate, jacobian=jacobian)

@@ -6,15 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import loem.information
 import loem.quantum
 from loem import (
     DerivativeError,
     StateFamily,
+    antiparallel_family,
+    average_qfim,
     check_unitary,
     derivatives,
     generator_unitary,
     loem_family,
     orthogonal_probes,
+    qfim_pure,
     qubit_family,
     qubit_rotation,
     qubit_unitary,
@@ -154,6 +158,9 @@ class TestValidators:
         with pytest.raises(ValueError):
             check_unitary(np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2)]))
 
+    def test_check_unitary_accepts_an_empty_stack(self):
+        assert check_unitary(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
 
 class TestLoemFamily:
     @pytest.mark.parametrize("probes", [np.array([1.0, 0.0]), np.zeros((1, 2, 2)), np.zeros((0, 2))])
@@ -179,14 +186,44 @@ class TestLoemFamily:
         with pytest.raises(RuntimeError, match="dU asked for"):
             derivatives(family, x)
 
+    def test_empty_batch_gives_empty_results(self):
+        for family in (qubit_family(), antiparallel_family(2), loem_family(generator_rotation(3, 82), 2, np.eye(3))):
+            for shape in ((0, 2), (3, 0, 2)):
+                x = np.zeros(shape)
+                state, jac = family.evaluate(x), derivatives(family, x)
+                assert state.shape == shape[:-1] + (family.dim,)
+                assert jac.shape == shape[:-1] + (family.dim, 2)
+                assert qfim_pure(state, jac).shape == shape[:-1] + (2, 2)
 
-def generator_rotation(d, seed):
+    def test_later_edits_of_the_inputs_change_nothing(self):
+        gens = hermitian_pair(3, 83)
+        probes = random_probes(2, 3, 84)
+        family = loem_family(generator_unitary(gens), 2, probes)
+        reference = loem_family(generator_unitary(gens.copy()), 2, probes.copy())
+
+        def same_at(x):  # each edit is followed by new points, so that no kept point can hide it
+            return same_bits(family.evaluate(x), reference.evaluate(x)) and same_bits(
+                derivatives(family, x), derivatives(reference, x)
+            )
+
+        gens[0, 0, 1] = 5.0  # no longer Hermitian
+        assert same_at(np.array([0.3, -0.8]))
+        probes[0] = [0.0, 1.0, 0.0]
+        assert same_at(np.array([[1.1, 0.2], [-0.4, 0.9]]))
+
+
+def hermitian_pair(d, seed):
+    """Two random Hermitian generators as one (2, d, d) complex array."""
     rng = np.random.default_rng(seed)
     gens = []
     for _ in range(2):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         gens.append(g + g.conj().T)
-    return generator_unitary(gens)
+    return np.array(gens)
+
+
+def generator_rotation(d, seed):
+    return generator_unitary(hermitian_pair(d, seed))
 
 
 def random_probes(k, d, seed):
@@ -253,6 +290,91 @@ class TestRightFold:
         finally:
             tracemalloc.stop()
         assert peak <= 1.7 * jac.nbytes
+
+
+def counting(unitary_family):
+    """The unitary family with a list that grows by one entry per call."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return unitary_family(x)
+
+    return counted, calls
+
+
+class TestPointMemo:
+    """evaluate and jacobian at the same points share one call of the unitary family."""
+
+    def test_one_unitary_call_per_point(self):
+        unitary_family, calls = counting(generator_rotation(3, 85))
+        family = loem_family(unitary_family, 2, np.eye(3))
+        x = np.array([0.4, 0.7])
+        family.evaluate(x)
+        derivatives(family, x)
+        family.evaluate(x.tolist())
+        assert len(calls) == 1
+        derivatives(family, x + 0.1)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("unitary_family, d", [(qubit_rotation, 2), (generator_rotation(3, 86), 3)])
+    def test_in_place_edit_of_x_gives_the_new_points(self, unitary_family, d):
+        family, fresh = loem_family(unitary_family, 2, np.eye(d)), loem_family(unitary_family, 2, np.eye(d))
+        x = np.array([[0.4, 0.7], [1.2, -0.3]])
+        kept = x.copy()
+        family.evaluate(x)
+        x[1, 0] += 0.5
+        # qubit_rotation's deferred dU reads its points when called, so the family must own them
+        assert same_bits(derivatives(family, kept), derivatives(fresh, kept))
+        assert same_bits(derivatives(family, x), derivatives(fresh, x))
+
+    @pytest.mark.parametrize("case", FOLD_CASES.values(), ids=FOLD_CASES.keys())
+    def test_any_call_order_matches_a_fresh_family(self, case):
+        unitary_family, probes = case
+
+        def fresh():
+            return loem_family(unitary_family, 2, probes)
+
+        rng = np.random.default_rng(87)
+        for x in (rng.uniform(-2.0, 2.0, size=2), rng.uniform(-2.0, 2.0, size=(3, 7, 2))):
+            state, jac = fresh().evaluate(x), derivatives(fresh(), x)
+            family = fresh()
+            assert same_bits(derivatives(family, x), jac)  # derivatives alone
+            returned = family.evaluate(x)  # evaluate after derivatives
+            assert same_bits(returned, state)
+            returned[...] = 7.0  # the caller owns what evaluate returned
+            assert same_bits(family.evaluate(x), state)
+            assert same_bits(derivatives(family, x), jac)
+
+    def test_failed_points_keep_the_last_good_points(self):
+        def unitary_family(x):
+            u, du = qubit_rotation(x)
+            if x[0] > 5.0:
+                return 2.0 * u, du  # not unitary
+            if x[0] < -5.0:
+                return np.eye(3), du  # unitary, but not on the probes' C^2
+            return u, du
+
+        counted, calls = counting(unitary_family)
+        family = loem_family(counted, 2, np.eye(2))
+        fresh = loem_family(qubit_rotation, 2, np.eye(2))
+        good = np.array([0.4, 0.7])
+        state = family.evaluate(good)
+        for bad, match in ((np.array([6.0, 0.0]), "not unitary"), (np.array([-6.0, 0.0]), "probe dimension")):
+            with pytest.raises(ValueError, match=match):
+                family.evaluate(bad)
+            assert same_bits(derivatives(family, good), derivatives(fresh, good))
+            assert same_bits(family.evaluate(good), state)
+        assert len(calls) == 3
+        other = np.array([1.3, -0.2])
+        assert same_bits(family.evaluate(other), fresh.evaluate(other))
+
+    def test_average_qfim_calls_the_unitary_family_once_per_batch(self, monkeypatch):
+        monkeypatch.setattr(loem.information, "_CHUNK", 16)  # 4 points per batch of the 4-amplitude pair
+        unitary_family, calls = counting(qubit_rotation)
+        family = loem_family(unitary_family, 2, np.eye(2))
+        average_qfim(family, ((0.0, np.pi), (0.0, 2.0 * np.pi)), 10, rng_seed=88)
+        assert calls == [(4, 2), (4, 2), (2, 2)]
 
 
 class TestDenseCap:
