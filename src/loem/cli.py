@@ -238,21 +238,32 @@ def _write_table(handle, columns: list[str], blocks, fmt: str):
     Each block is a list of columns, one per name; a column is a float64
     ndarray or a sequence of Python ints and floats.  The text is what
     csv.writer, and json.dump with indent 2 and a final newline, write for
-    the rows of every block in turn; it is built _CHUNK rows at a time.
+    the rows of every block in turn; it is built _CHUNK rows at a time, each
+    chunk one join of its cells and the fixed text around them.
     """
     if fmt == "json":
-        row = "  {\n" + ",\n".join(f"    {json.dumps(c)}: %s" for c in columns) + "\n  }"
-        head, sep, tail, empty = "[\n", ",\n", "\n]\n", "[]\n"
+        # Each row starts with the ",\n" between rows; the table's first row drops it.
+        keys = [f"    {json.dumps(c)}: " for c in columns]
+        fixed = [",\n  {\n" + keys[0], *[",\n" + k for k in keys[1:]], "\n  }"]
+        head, tail, empty = "[\n", "\n]\n", "[]\n"
     else:
-        row = ",".join(["%s"] * len(columns))
+        fixed = ["", *[","] * (len(columns) - 1), "\n"]
         head = empty = ",".join(columns) + "\n"
-        sep = tail = "\n"
+        tail = ""
+    stride = 2 * len(columns) + 1
+    row = [None] * stride  # fixed text at even places, a row's cells at odd ones
+    row[::2] = fixed
     n_rows = 0
     for table in blocks:
         for start in range(0, len(table[0]), _CHUNK):
             cells = [_cells(column[start : start + _CHUNK], fmt) for column in table]
-            handle.write(sep if n_rows else head)
-            handle.write(sep.join(map(row.__mod__, zip(*cells))))
+            text = row * len(cells[0])
+            for i, column in enumerate(cells):
+                text[2 * i + 1 :: stride] = column
+            if not n_rows:
+                handle.write(head)
+                text[0] = text[0].removeprefix(",\n")
+            handle.write("".join(text))
             n_rows += len(cells[0])
     handle.write(tail if n_rows else empty)
 
@@ -286,10 +297,12 @@ def _run_wcc(args) -> str:
 def _run_surface(args) -> Iterator[list[np.ndarray]]:
     """The grid in bands of theta rows, each at most _CHUNK points (one row at least)."""
     angles = np.linspace(0.0, 360.0, args.resolution, endpoint=False)
+    radians = np.radians(angles)
     band = max(1, _CHUNK // args.resolution)
     for start in range(0, args.resolution, band):
         theta_deg, phi_deg = np.meshgrid(angles[start : start + band], angles, indexing="ij")
-        probs = outcome_probabilities(np.radians(theta_deg), np.radians(phi_deg), args.n)
+        # Probabilities from the grid axes: the band's theta as (band, 1), every phi as (R,).
+        probs = outcome_probabilities(radians[start : start + band, None], radians, args.n)
         yield [theta_deg.ravel(), phi_deg.ravel(), *probs.reshape(4, -1)]
 
 

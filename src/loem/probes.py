@@ -129,20 +129,23 @@ def born_probabilities(state: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def outcome_probabilities(theta: float, phi: float, n_iter: int = 1) -> np.ndarray:
-    """Closed-form four-port probabilities of the antiparallel state.
+    """Closed-form four-port probabilities of the antiparallel state, shape (4, ...).
 
     P1 = cos^4(N theta/2), P2 = sin^4(N theta/2),
     P3 = sin^2(N theta) sin^2(N phi)/2, P4 = sin^2(N theta) cos^2(N phi)/2.
+    theta and phi broadcast, so grid axes of shapes (k, 1) and (m,) give the
+    (4, k, m) grid with sin and cos taken on k + m angles, each cell equal
+    bit for bit to a call on the full grid.
     """
     a, b = _amplified(n_iter, theta, phi)
     sin_a_sq = np.sin(a) ** 2
     return np.array(
-        [
+        np.broadcast_arrays(
             np.cos(0.5 * a) ** 4,
             np.sin(0.5 * a) ** 4,
             0.5 * sin_a_sq * np.sin(b) ** 2,
             0.5 * sin_a_sq * np.cos(b) ** 2,
-        ]
+        )
     )
 
 

@@ -59,8 +59,9 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("probability vector must be a 1-D array")
-    if not (np.min(p) >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
-        raise ValueError(f"invalid probability vector: min {p.min()!r}, sum {p.sum()!r}")
+    low = np.min(p, initial=np.inf)  # an empty vector fails on its sum
+    if not (low >= -1e-12 and abs(p.sum() - 1.0) <= 1e-10):
+        raise ValueError(f"invalid probability vector: min {low!r}, sum {p.sum()!r}")
     return np.maximum(p, 0.0)
 
 

@@ -455,6 +455,18 @@ class TestTableWriter:
         assert handle.getvalue() == written_table(["a", "b"], table, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_strided_columns_match_contiguous_columns(self, fmt):
+        # Zero-stride, strided and reversed float columns across a chunk edge.
+        n_rows = _CHUNK + 3
+        x = np.random.default_rng(16).random(3 * n_rows)
+        x[::5] = (SPECIAL_FLOATS * n_rows)[: len(x[::5])]
+        table = [np.broadcast_to(np.float64(-0.0), n_rows), np.broadcast_to(x[:1], n_rows), x[::3], x[::-3]]
+        contiguous = [np.ascontiguousarray(column) for column in table]
+        assert table[0].strides == (0,) and table[2].strides == (24,)
+        names = ["z", "y", "s", "r"]
+        assert written_table(names, table, fmt) == written_table(names, contiguous, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_special_values(self, fmt):
         floats = SPECIAL_FLOATS + SPECIAL_FLOATS[::-1]
         ints = [SPECIAL_INTS[i % 2] for i in range(len(floats))]

@@ -243,6 +243,23 @@ class TestOutcomeProbabilities:
             outcome_probabilities(np.pi / 2, np.pi / 4, 1), [0.25, 0.25, 0.25, 0.25], atol=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_grid_axes_match_the_full_grid_bit_for_bit(self, n):
+        # The surface command's degree grid and random angles of either sign.
+        rng = np.random.default_rng(15)
+        theta = np.concatenate([np.radians(np.linspace(0.0, 360.0, 37, endpoint=False)), rng.uniform(-7, 7, 9)])
+        phi = np.concatenate([np.radians(np.linspace(0.0, 360.0, 41, endpoint=False)), rng.uniform(-7, 7, 11)])
+        axes = outcome_probabilities(theta[:, None], phi, n)
+        assert axes.shape == (4, 46, 52)
+        full = outcome_probabilities(*np.meshgrid(theta, phi, indexing="ij"), n)
+        assert np.array_equal(axes.view(np.int64), full.view(np.int64))
+
+    def test_scalar_shape_and_non_finite_angle(self):
+        assert outcome_probabilities(0.3, 0.9, 2).shape == (4,)
+        for theta, phi in [([[0.1], [1e308]], [0.2, 0.3]), ([[0.1], [0.2]], [0.3, 1e308])]:
+            with pytest.raises(ValueError, match="not finite"):
+                outcome_probabilities(np.array(theta), np.array(phi), 10)
+
     def test_normalization_on_dense_grid(self):
         angles = np.linspace(0.0, 2 * np.pi, 101)
         worst = 0.0

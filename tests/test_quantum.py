@@ -13,6 +13,7 @@ from loem import (
     StateFamily,
     antiparallel_family,
     average_qfim,
+    check_probabilities,
     check_unitary,
     derivatives,
     generator_unitary,
@@ -160,6 +161,16 @@ class TestValidators:
 
     def test_check_unitary_accepts_an_empty_stack(self):
         assert check_unitary(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize(
+        "p", [[], [np.nan, 1.0], [0.5, 0.6], [-1e-9, 1.0 + 1e-9]], ids=["empty", "nan", "sum", "min"]
+    )
+    def test_check_probabilities_rejects_with_its_own_message(self, p):
+        with pytest.raises(ValueError, match="invalid probability vector"):
+            check_probabilities(np.array(p))
+
+    def test_check_probabilities_clips_roundoff_at_zero(self):
+        assert check_probabilities(np.array([-1e-13, 1.0])).tolist() == [0.0, 1.0]
 
 
 class TestLoemFamily:
