@@ -227,7 +227,11 @@ def _cells(part, fmt: str) -> list[str]:
     """
     if isinstance(part, np.ndarray):
         bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
-        return np.array(_cells(bits.view(np.float64).tolist(), fmt), dtype=object)[inverse].tolist()
+        values = bits.view(np.float64)
+        texts = np.array(list(map(repr, values.tolist())), dtype=object)
+        if fmt == "json":
+            texts[~np.isfinite(values)] = "null"
+        return texts[inverse].tolist()
     text = list(map(repr, part))
     return ["null" if t in _NON_FINITE else t for t in text] if fmt == "json" else text
 

@@ -4,8 +4,9 @@ Counts are drawn per four-port trial, (theta, phi) is recovered by the exact
 closed-form multinomial MLE, and repeated campaigns produce M x MSE
 statistics, error bars, and Heisenberg-scaling sweeps with their Cramér-Rao
 and shot-noise references.
-A campaign works on arrays: an (R, 4) count array, a row-wise MLE and
-masked statistics, with no Python object per trial.
+A campaign draws its trials with scalar generator calls into an (R, 4) count
+array, then works on arrays: a row-wise MLE, and statistics over the rows
+that did not fail.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ STATUS_OK, STATUS_BOUNDARY, STATUS_FAILED = 0, 1, 2
 # quantization alone.  Every campaign needs two usable estimates for its
 # statistics.
 _MAX_FAILURE_FRACTION = 0.10
+
+# Poisson rows collected in a list before one slice assignment stores them,
+# which bounds the list's memory.
+_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -147,7 +152,9 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
     (0, 0, t, resample_index), the block trial_rng(seed, t, resample_index)
     starts at.  The fresh state is trial_rng's own, with its words as Python
     ints, which the Philox state setter reads at under half the cost of
-    uint64 arrays.
+    uint64 arrays.  Multinomial rows are stored one by one.  Poisson trials
+    are four scalar draws each, collected in a flat list of up to _ROWS
+    rows that one slice assignment stores.
     """
     probs = check_probabilities(outcome_probabilities(config.theta_true, config.phi_true, config.n_iter))
     probs = probs / probs.sum()
@@ -169,13 +176,17 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
             counts[trial] = multinomial(shots, probs)
     else:
         # Four scalar draws consume the stream exactly as rng.poisson(means)
-        # does, at a third of its call overhead.
+        # does, at about a quarter of its cost (1.9 against 8.2 us per trial).
         poisson = rng.poisson
         m1, m2, m3, m4 = (float(m) for m in shots * probs)
-        for trial in range(config.repeats):
-            counter[2] = trial
-            bit_generator.state = fresh
-            counts[trial] = (poisson(m1), poisson(m2), poisson(m3), poisson(m4))
+        flat = counts.reshape(-1)
+        for start in range(0, config.repeats, _ROWS):
+            rows = []
+            for trial in range(start, min(start + _ROWS, config.repeats)):
+                counter[2] = trial
+                bit_generator.state = fresh
+                rows += (poisson(m1), poisson(m2), poisson(m3), poisson(m4))
+            flat[4 * start : 4 * start + len(rows)] = rows
     return counts
 
 
@@ -201,7 +212,8 @@ def mle_closed_form_batch(
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[-1] != 4:
         raise ValueError("expected four per-port counts per row")
-    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
+    # NaN fails both comparisons; initial keeps an empty array valid.
+    if not (0.0 <= counts.min(initial=0.0) and counts.max(initial=0.0) < np.inf):
         raise ValueError("counts must be non-negative and finite")
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -215,9 +227,11 @@ def mle_closed_form_batch(
         phi_hat = np.arctan(np.sqrt(n3 / n4)) / n_iter
     # theta_hat up to 1e-12 above the limit is round-trip dust from arcsin at
     # s_hat = 1/2: clipped, but not a boundary estimate.
-    pinned = (theta_hat > limit + 1e-12) | (n3 == 0) | (n4 == 0)
+    no_n3, no_n4 = n3 == 0, n4 == 0
+    pinned = (theta_hat > limit + 1e-12) | no_n3 | no_n4
     theta_hat = np.minimum(theta_hat, limit)
-    phi_hat = np.where(n3 == 0, 0.0, np.where(n4 == 0, limit, phi_hat))
+    phi_hat[no_n3] = 0.0
+    phi_hat[no_n4] = limit
     failed = n34 == 0
     phi_hat[failed] = np.nan
     status = np.where(failed, STATUS_FAILED, np.where(pinned, STATUS_BOUNDARY, STATUS_OK))
@@ -240,7 +254,7 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
     """
     counts = campaign_counts(config, resample_index)
     thetas, phis, status = mle_closed_form_batch(counts, config.n_iter)
-    n_failed = int(np.count_nonzero(status == STATUS_FAILED))
+    n_ok, n_boundary, n_failed = np.bincount(status, minlength=3).tolist()  # STATUS_* are 0, 1, 2
     if config.shots > 1 and n_failed > _MAX_FAILURE_FRACTION * config.repeats:
         raise DegenerateConfigurationError(
             f"{n_failed}/{config.repeats} estimates failed; true theta = "
@@ -252,33 +266,30 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
             f"only {usable} of {config.repeats} estimates usable with shots = {config.shots}; "
             "campaign statistics need at least 2"
         )
-    return _statistics(thetas, phis, status, config)
-
-
-def _statistics(
-    thetas: np.ndarray, phis: np.ndarray, status: np.ndarray, config: TrialConfig
-) -> TrialStatistics:
-    """Campaign statistics over the (at least two) rows not STATUS_FAILED."""
-    kept = status != STATUS_FAILED
-    thetas, phis = thetas[kept], phis[kept]
+    if n_failed:
+        kept = status != STATUS_FAILED
+        thetas, phis = thetas[kept], phis[kept]
     shots = float(config.shots)
-    root_n = np.sqrt(thetas.size)
     sq_t = (thetas - config.theta_true) ** 2
     sq_p = (phis - config.phi_true) ** 2
     cross = (thetas - thetas.mean()) * (phis - phis.mean())
+    mse_t, mse_p, cross_sum = np.mean(sq_t), np.mean(sq_p), cross.sum()
+    # Standard errors: shots x the terms' sample SD / sqrt(n), from their deviations.
+    deviations = np.array([sq_t - mse_t, sq_p - mse_p, cross - cross_sum / usable])
+    se = shots * np.sqrt(np.vecdot(deviations, deviations) / (usable * (usable - 1)))
     qcrb = 1.0 / np.diag(antiparallel_qfim_closed(config.theta_true, config.n_iter))
     return TrialStatistics(
-        m_times_mse_theta=shots * float(np.mean(sq_t)),
-        m_times_mse_phi=shots * float(np.mean(sq_p)),
-        m_times_covariance=shots * float(cross.sum() / (thetas.size - 1)),
-        se_m_mse_theta=float(shots * np.std(sq_t, ddof=1) / root_n),
-        se_m_mse_phi=float(shots * np.std(sq_p, ddof=1) / root_n),
-        se_m_covariance=float(shots * np.std(cross, ddof=1) / root_n),
+        m_times_mse_theta=shots * float(mse_t),
+        m_times_mse_phi=shots * float(mse_p),
+        m_times_covariance=shots * float(cross_sum / (usable - 1)),
+        se_m_mse_theta=float(se[0]),
+        se_m_mse_phi=float(se[1]),
+        se_m_covariance=float(se[2]),
         qcrb_theta=float(qcrb[0]),
         qcrb_phi=float(qcrb[1]),
-        n_ok=int(np.count_nonzero(status == STATUS_OK)),
-        n_boundary=int(np.count_nonzero(status == STATUS_BOUNDARY)),
-        n_failed=int(np.count_nonzero(~kept)),
+        n_ok=n_ok,
+        n_boundary=n_boundary,
+        n_failed=n_failed,
     )
 
 

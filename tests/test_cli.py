@@ -131,6 +131,75 @@ GOLDEN_ERROR_BARS_CSV = {
 }
 
 
+GOLDEN_HEISENBERG_ARGS = [
+    "heisenberg",
+    "--theta-deg",
+    "8.5",
+    "--phi-deg",
+    "8.5",
+    "--n-max",
+    "4",
+    "--shots",
+    "1000",
+    "--repeats",
+    "50",
+    "--seed",
+    "7",
+]
+# Outputs of GOLDEN_HEISENBERG_ARGS, recorded before the campaign statistics
+# took their standard errors from the deviations they already form.
+GOLDEN_HEISENBERG_CSV = (
+    "n,m_mse_theta,m_mse_phi,qcrb_theta,qcrb_phi,snl_theta,snl_phi\n"
+    "1,0.515852864352994,24.72898274604204,0.5,22.885785902786992,0.5,22.885785902786992\n"
+    "2,0.14706882611087563,1.6878096158386688,0.125,1.4623096064805698,0.25,"
+    "2.9246192129611397\n"
+    "3,0.05898810591059196,0.26421326303598003,0.05555555555555555,0.29974972571542197,"
+    "0.16666666666666666,0.899249177146266\n"
+    "4,0.023193700507850423,0.11131116427073091,0.03125,0.0999370945424198,0.125,"
+    "0.3997483781696792\n"
+)
+GOLDEN_HEISENBERG_JSON = (
+    '[\n'
+    '  {\n'
+    '    "n": 1,\n'
+    '    "m_mse_theta": 0.515852864352994,\n'
+    '    "m_mse_phi": 24.72898274604204,\n'
+    '    "qcrb_theta": 0.5,\n'
+    '    "qcrb_phi": 22.885785902786992,\n'
+    '    "snl_theta": 0.5,\n'
+    '    "snl_phi": 22.885785902786992\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 2,\n'
+    '    "m_mse_theta": 0.14706882611087563,\n'
+    '    "m_mse_phi": 1.6878096158386688,\n'
+    '    "qcrb_theta": 0.125,\n'
+    '    "qcrb_phi": 1.4623096064805698,\n'
+    '    "snl_theta": 0.25,\n'
+    '    "snl_phi": 2.9246192129611397\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 3,\n'
+    '    "m_mse_theta": 0.05898810591059196,\n'
+    '    "m_mse_phi": 0.26421326303598003,\n'
+    '    "qcrb_theta": 0.05555555555555555,\n'
+    '    "qcrb_phi": 0.29974972571542197,\n'
+    '    "snl_theta": 0.16666666666666666,\n'
+    '    "snl_phi": 0.899249177146266\n'
+    '  },\n'
+    '  {\n'
+    '    "n": 4,\n'
+    '    "m_mse_theta": 0.023193700507850423,\n'
+    '    "m_mse_phi": 0.11131116427073091,\n'
+    '    "qcrb_theta": 0.03125,\n'
+    '    "qcrb_phi": 0.0999370945424198,\n'
+    '    "snl_theta": 0.125,\n'
+    '    "snl_phi": 0.3997483781696792\n'
+    '  }\n'
+    ']\n'
+)
+
+
 class TestParseArgs:
     def test_simulate_reference_invocation(self):
         config = parse_args(SIMULATE_ARGS)
@@ -339,6 +408,12 @@ class TestTables:
         out = tmp_path / "golden.csv"
         assert main(GOLDEN_SIMULATE_ARGS + ["--noise", noise, "--output", str(out)]) == EXIT_OK
         assert out.read_text() == GOLDEN_SIMULATE_CSV[noise]
+
+    @pytest.mark.parametrize("fmt, golden", [("csv", GOLDEN_HEISENBERG_CSV), ("json", GOLDEN_HEISENBERG_JSON)])
+    def test_heisenberg_golden_table(self, tmp_path, fmt, golden):
+        out = tmp_path / f"golden.{fmt}"
+        assert main(GOLDEN_HEISENBERG_ARGS + ["--format", fmt, "--output", str(out)]) == EXIT_OK
+        assert out.read_text() == golden
 
     @pytest.mark.parametrize("noise", sorted(GOLDEN_ERROR_BARS_CSV))
     def test_simulate_error_bars_golden_csv(self, tmp_path, noise):

@@ -120,6 +120,16 @@ class TestCampaignCounts:
             expected = sample_counts(probs, config.shots, config.noise_model, rng)
             assert np.array_equal(row, expected), trial
 
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    def test_rows_match_per_trial_substreams_across_store_chunks(self, monkeypatch, noise_model):
+        # 10 trials are four chunks of 3 rows, the last one short.
+        monkeypatch.setattr(loem.estimation, "_ROWS", 3)
+        config = dataclasses.replace(campaign_config(CAMPAIGNS[6]), repeats=10, noise_model=noise_model)
+        counts = campaign_counts(config, 5)
+        probs = outcome_probabilities(config.theta_true, config.phi_true, config.n_iter)
+        expected = [sample_counts(probs, config.shots, noise_model, trial_rng(config.seed, t, 5)) for t in range(10)]
+        assert np.array_equal(counts, expected)
+
     def test_poisson_zero_totals_drawn(self):
         counts = campaign_counts(campaign_config(CAMPAIGNS[3]))
         assert np.any(counts.sum(axis=1) == 0)
@@ -388,6 +398,24 @@ class TestRunTrials:
         assert stats.m_times_mse_phi == config.shots * np.mean((phis - config.phi_true) ** 2)
         dt, dp = thetas - thetas.mean(), phis - phis.mean()
         assert stats.m_times_covariance == config.shots * ((dt * dp).sum() / (thetas.size - 1))
+
+    @pytest.mark.parametrize("case", CAMPAIGNS)
+    def test_standard_errors_match_sample_deviations(self, case):
+        config, resample = campaign_config(case), case[-1]
+        thetas, phis, status = mle_closed_form_batch(campaign_counts(config, resample), config.n_iter)
+        kept = status != STATUS_FAILED
+        thetas, phis = thetas[kept], phis[kept]
+        stats = run_trials(config, resample)
+        assert stats.n_failed == np.count_nonzero(~kept)
+        assert (stats.n_failed > 0) == (config.shots == 1)  # the one-shot cases drop rows
+        terms = {
+            "se_m_mse_theta": (thetas - config.theta_true) ** 2,
+            "se_m_mse_phi": (phis - config.phi_true) ** 2,
+            "se_m_covariance": (thetas - thetas.mean()) * (phis - phis.mean()),
+        }
+        for name, x in terms.items():
+            expected = config.shots * np.std(x, ddof=1) / np.sqrt(x.size)
+            assert getattr(stats, name) == pytest.approx(expected, rel=1e-12, abs=0.0), name
 
     def test_bit_identical_statistics(self):
         config = TrialConfig(np.radians(40.0), np.radians(36.0), 1, 2000, 100, seed=5)
