@@ -22,7 +22,7 @@ class DerivativeError(LoemError):
 
 
 class CurvatureConsistencyError(LoemError):
-    """The two independent curvature computations disagree beyond tolerance."""
+    """The curvature's state is not normalized, or its Jacobian not tangent to the normalization."""
 
 
 class DivergentInformationError(LoemError):

@@ -70,8 +70,15 @@ class TrialConfig:
     noise_model: str = "multinomial"
 
     def __post_init__(self):
-        if self.n_iter < 1:
-            raise ValueError(f"n_iter must be >= 1, got {self.n_iter!r}")
+        for name, low, high, text in (
+            ("n_iter", 1, np.inf, "inf"),
+            ("shots", 1, 2**63, "2**63"),
+            ("repeats", 2, 2**63, "2**63"),
+            ("seed", 0, 2**128, "2**128"),  # a Philox key
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and low <= value < high):
+                raise ValueError(f"{name} must be in [{low}, {text}) and an integer, got {value!r}")
         try:
             limit = np.pi / (2 * self.n_iter)
         except OverflowError:  # N is beyond the float range
@@ -82,12 +89,6 @@ class TrialConfig:
                     f"{name} = {float(value)!r} rad ({np.degrees(value):g} deg) violates "
                     f"0 <= angle < pi/(2N) = {limit!r} rad ({np.degrees(limit):g} deg) for N = {self.n_iter}"
                 )
-        if not 1 <= self.shots < 2**63:
-            raise ValueError(f"shots must be in [1, 2**63), got {self.shots!r}")
-        if not 2 <= self.repeats < 2**63:
-            raise ValueError(f"repeats must be in [2, 2**63), got {self.repeats!r}")
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be an integer in [0, 2**128) (a Philox key), got {self.seed!r}")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
 

@@ -26,8 +26,8 @@ __all__ = [
 _PROB_FLOOR = 1e-12
 # ...unless their derivative exceeds this, which makes the term divergent.
 _DERIV_FLOOR = 1e-9
-# Largest disagreement of the two curvature routes, per unit of the largest
-# squared Jacobian column norm.
+# Largest |<psi|psi> - 1| and |Re <d_i psi|psi>| that the curvature accepts, per
+# unit of the largest squared Jacobian column norm.
 _CONSISTENCY_TOL = 1e-8
 
 
@@ -39,6 +39,13 @@ def _check_pair(state: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndar
     return state, jac
 
 
+def _gram_overlaps(state: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G_ij = <d_i psi|d_j psi> as (..., P, P) and c_i = <d_i psi|psi> as (..., P)."""
+    cols = jac.swapaxes(-1, -2)  # a view; vecdot conjugates its first argument in its loop, so nothing is copied
+    gram = np.vecdot(cols[..., :, None, :], cols[..., None, :, :])
+    return gram, np.vecdot(cols, state[..., None, :])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the result is checked instead
 def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """QFIM of a normalized pure state from its parameter Jacobian.
@@ -46,10 +53,7 @@ def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     Q_ij = 4 Re(<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>), (..., P, P)
     for states (..., dim); a non-finite result raises DivergentInformationError.
     """
-    state, jac = _check_pair(state, jac)
-    cols = jac.swapaxes(-1, -2)  # a view; vecdot conjugates its first argument in its loop, so nothing is copied
-    gram = np.vecdot(cols[..., :, None, :], cols[..., None, :, :])
-    overlap = np.vecdot(cols, state[..., None, :])  # entry i: <d_i psi|psi>
+    gram, overlap = _gram_overlaps(*_check_pair(state, jac))
     q = 4.0 * np.real(gram - overlap[..., :, None] * overlap.conj()[..., None, :])
     q = 0.5 * (q + q.swapaxes(-1, -2))
     if not np.isfinite(q).all():
@@ -59,42 +63,28 @@ def qfim_pure(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # the result is checked instead
 def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Mean Uhlmann curvature U_ij = (i/4) <psi|[L_i, L_j]|psi>.
+    """Mean Uhlmann curvature U_ij = (i/4) <psi|[L_i, L_j]|psi> at one point.
 
-    Each entry is computed along two routes: the SLD-commutator definition
-    above, from the scalars <psi|psi>, <d_i psi|psi> and <d_i psi|d_j psi>
-    (no state-sized vector), and the pure-state reduction -2 Im <d_i psi|d_j psi>.
-    A disagreement beyond _CONSISTENCY_TOL times max(1, max_i |d_i psi|^2)
-    (e.g. a Jacobian inconsistent with the state's normalization) raises
-    CurvatureConsistencyError.  The scale follows the finite-difference
-    noise, which grows with the Jacobian.  A non-finite tolerance or result
-    raises DivergentInformationError.
-
-    One point only (a batch raises ValueError); the returned matrix is
-    exactly antisymmetric with zero diagonal.
+    With n = <psi|psi>, c_i = <d_i psi|psi> and G_ij = <d_i psi|d_j psi>, the SLD
+    L_i|psi> = 2(n|d_i psi> + c_i|psi>) gives U = -2n Im(n G - c c^H), made exactly
+    antisymmetric: the imaginary part of the geometric tensor whose real part gives
+    qfim_pure, with no state-sized vector.  |n - 1| or max_i |Re c_i| beyond
+    _CONSISTENCY_TOL times max(1, max_i G_ii) (the finite-difference noise grows with
+    the Jacobian) raises CurvatureConsistencyError; a non-finite tolerance or result
+    raises DivergentInformationError, and a batch raises ValueError.
     """
     state, jac = _check_pair(state, jac)
     if state.ndim != 1:
         raise ValueError(f"uhlmann_curvature takes one state, got shape {state.shape}")
-    m = jac.shape[1]
+    gram, overlap = _gram_overlaps(state, jac)
     norm = np.vdot(state, state).real
-    overlaps = [np.vdot(jac[:, i], state) for i in range(m)]  # c_i = <d_i psi|psi>
-    tol = _CONSISTENCY_TOL * max([1.0] + [np.vdot(jac[:, i], jac[:, i]).real for i in range(m)])
-    curv = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            gram = np.vdot(jac[:, i], jac[:, j])
-            # L_i|psi> = 2(n|d_i psi> + c_i|psi>) with n = <psi|psi>, so (i/4)<psi|[L_i, L_j]|psi>
-            # = -(1/2) Im <L_i psi|L_j psi> = -2n(n Im G_ij + Im(conj(c_i) c_j)), G_ij = <d_i psi|d_j psi>.
-            commutator = -2.0 * norm * (norm * gram.imag + (overlaps[i].conjugate() * overlaps[j]).imag)
-            reduction = -2.0 * gram.imag
-            if abs(commutator - reduction) > tol:
-                raise CurvatureConsistencyError(
-                    f"curvature entry ({i},{j}): SLD route {float(commutator)!r} vs "
-                    f"overlap route {float(reduction)!r} differ beyond {tol:g}"
-                )
-            curv[i, j] = commutator
-            curv[j, i] = -commutator
+    drift = np.max(np.abs(overlap.real), initial=0.0)  # zero for a Jacobian tangent to the sphere
+    tol = _CONSISTENCY_TOL * max(1.0, np.max(gram.diagonal().real, initial=0.0))
+    for name, value in (("|<psi|psi> - 1|", abs(norm - 1.0)), ("max_i |Re <d_i psi|psi>|", drift)):
+        if value > tol:
+            raise CurvatureConsistencyError(f"{name} = {float(value)!r} exceeds {tol:g}: state and Jacobian disagree")
+    curv = -2.0 * norm * np.imag(norm * gram - overlap[:, None] * overlap.conj()[None, :])
+    curv = 0.5 * (curv - curv.T)
     if not (np.isfinite(tol) and np.isfinite(curv).all()):
         raise DivergentInformationError("curvature overflows: the Jacobian is too large")
     return curv
@@ -147,6 +137,8 @@ def average_qfim(
     box_arr = np.asarray(box, dtype=float)
     if box_arr.shape != (family.n_params, 2):
         raise ValueError(f"box must have shape ({family.n_params}, 2), got {box_arr.shape}")
+    if not np.isfinite(box_arr).all():
+        raise ValueError(f"box must be finite, got {box_arr.tolist()}")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     batch = max(1, _CHUNK // family.dim)
     total = np.full((family.n_params, family.n_params), -0.0)  # -0.0 + x == x, signed zeros included

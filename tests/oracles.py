@@ -6,8 +6,9 @@ Nothing in ``loem`` calls these; each is the reference of one library path:
   reference of ``campaign_counts``.
 - ``mle_grid``: a grid-plus-golden-section likelihood maximizer, the oracle
   of the closed-form ``mle_closed_form_batch``.
-- ``sld_pure``: the dense d x d SLD matrix, the oracle of
-  ``uhlmann_curvature``'s matrix-free commutator.
+- ``sld_pure``: the dense d x d SLD matrix, the oracle of the value
+  ``uhlmann_curvature`` takes from the scalars n, c_i and G_ij (its one
+  route; its own check covers only the normalization and tangency).
 - ``phase_shifted_family``: a family times a smooth global phase, to test
   gauge invariance through central differences.
 - ``left_fold_state`` and ``left_fold_jacobian``: the product state and its

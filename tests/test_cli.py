@@ -297,6 +297,13 @@ class TestSingleResultCommands:
         assert code == EXIT_OK
         assert "wcc_holds = false" in capsys.readouterr().out
 
+    # Recorded before the curvature took its Gram matrix and overlaps from qfim_pure's
+    # expressions: |sin 50 deg| for the identical pair, half of it for one qubit.
+    @pytest.mark.parametrize("family, curvature", [("parallel", "0.766044"), ("single", "0.383022")])
+    def test_wcc_golden(self, capsys, family, curvature):
+        assert main(["wcc", "--family", family, "--theta-deg", "50", "--phi-deg", "20"]) == EXIT_OK
+        assert capsys.readouterr().out == f"max_abs_curvature = {curvature}\nwcc_holds = false (tol = 1e-08)\n"
+
 
 class TestTables:
     def test_surface_shape_and_header(self, tmp_path):

@@ -298,6 +298,22 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(0.1, 0.1, 1, shots=10, repeats=10, seed=0, noise_model="gaussian")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_iter", 1.5), ("shots", 1000.5), ("repeats", 50.5), ("seed", 1.5), ("seed", 2.0), ("shots", "3")],
+    )
+    def test_non_integral_counts_rejected(self, field, value):
+        # seed=1.5 ran seed 1's stream, shots=1000.5 drew 1000 counts but scaled by 1000.5
+        fields = dict(theta_true=0.1, phi_true=0.1, n_iter=1, shots=1000, repeats=50, seed=1)
+        with pytest.raises(ValueError, match=rf"^{field} must be .* an integer, got {value!r}"):
+            TrialConfig(**{**fields, field: value})
+
+    def test_numpy_integers_accepted(self):
+        theta, phi = np.radians(40.0), np.radians(36.0)
+        plain = TrialConfig(theta, phi, 1, shots=100, repeats=10, seed=3)
+        wide = TrialConfig(theta, phi, np.int64(1), shots=np.int32(100), repeats=np.uint16(10), seed=np.uint64(3))
+        assert run_trials(wide) == run_trials(plain)
+
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200], ids=["-1", "2**128", "2**200"])
     def test_seed_outside_philox_keys_rejected(self, seed):
         with pytest.raises(ValueError, match=rf"seed .*2\*\*128.*{seed}"):

@@ -275,7 +275,21 @@ class TestUhlmannCurvature:
     def test_inconsistency_message_prints_plain_floats(self):
         psi = np.array([1.0, 0.0], dtype=complex)
         jac = np.column_stack([psi, np.array([1.0j, 1.0])])
-        with pytest.raises(CurvatureConsistencyError, match=r"SLD route -?\d.* vs overlap route -?\d"):
+        with pytest.raises(CurvatureConsistencyError, match=r"max_i \|Re <d_i psi\|psi>\| = -?\d"):
+            uhlmann_curvature(psi, jac)
+
+    def test_real_overlaps_raise(self):
+        # c_0 = c_1 = 1: the Jacobian leaves the sphere although every Im G_ij and
+        # Im(conj(c_i) c_j) vanishes, so only the tangency check can see it
+        psi = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(CurvatureConsistencyError, match=r"max_i \|Re <d_i psi\|psi>\| = 1\.0 "):
+            uhlmann_curvature(psi, np.column_stack([psi, psi]))
+
+    def test_unnormalized_state_raises(self):
+        # a real Jacobian makes Im G_ij and Im(conj(c_i) c_j) vanish whatever n is
+        psi = np.array([1.0 + 1e-6, 0.0], dtype=complex)
+        jac = np.array([[0.0, 0.0], [1.0, 0.5]], dtype=complex)
+        with pytest.raises(CurvatureConsistencyError, match=r"\|<psi\|psi> - 1\| = 2\.0\d*e-06 "):
             uhlmann_curvature(psi, jac)
 
     def test_tolerance_scales_with_jacobian(self):
@@ -411,6 +425,12 @@ class TestAverageQfim:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             average_qfim(qubit_family(), self.BOX, samples=0, rng_seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_box_rejected(self, bad):
+        box = ((0.0, np.pi), (0.0, bad))
+        with pytest.raises(ValueError, match=r"box must be finite, got \[\[0\.0, 3\.14"):
+            average_qfim(qubit_family(), box, samples=10, rng_seed=1)
 
     @pytest.mark.parametrize("n_iter", [1, 3])
     @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
