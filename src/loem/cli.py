@@ -102,17 +102,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _seed(text: str) -> int:
-    """A Philox key: an integer in [0, 2**128)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**128:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**128), got {text!r}")
-    return value
-
-
 def _resamples(text: str) -> int:
     """0 skips the error bars; error_bars needs at least 2 resamples."""
     value = _int_at_least(0)(text)
@@ -141,7 +130,7 @@ def _add_output_options(sub, table: bool = False):
 def _add_campaign_options(sub):
     sub.add_argument("--shots", type=int, default=10000, help="counts per estimate (M)")
     sub.add_argument("--repeats", type=int, default=400, help="estimates per statistic")
-    sub.add_argument("--seed", type=_seed, default=None, help="RNG seed (default: env LOEM_SEED, then 0)")
+    sub.add_argument("--seed", type=int, default=None, help="RNG seed (default: env LOEM_SEED, then 0)")
 
 
 @functools.cache
@@ -202,15 +191,15 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse a command line; the seed falls back to LOEM_SEED, then 0.
 
     Raises UsageError on malformed input.  The ranges of angles, shots,
-    repeats and tolerances are checked by the library, whose ValueError
-    main also maps to exit code 1.
+    repeats, seeds and tolerances are checked by the library, whose
+    ValueError main also maps to exit code 1.
     """
     args = _parser().parse_args(argv)
     if getattr(args, "seed", 0) is None:
         try:
-            args.seed = _seed(os.environ.get("LOEM_SEED", "0"))
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"LOEM_SEED {exc}") from None
+            args.seed = int(os.environ.get("LOEM_SEED", "0"))
+        except ValueError as exc:
+            raise UsageError(f"LOEM_SEED: {exc}") from None
     return args
 
 

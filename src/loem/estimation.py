@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError
 from .probes import antiparallel_qfim_closed, outcome_probabilities
-from .quantum import check_probabilities
+from .quantum import _check_integer, check_probabilities
 
 __all__ = [
     "NOISE_MODELS",
@@ -70,15 +70,10 @@ class TrialConfig:
     noise_model: str = "multinomial"
 
     def __post_init__(self):
-        for name, low, high, text in (
-            ("n_iter", 1, np.inf, "inf"),
-            ("shots", 1, 2**63, "2**63"),
-            ("repeats", 2, 2**63, "2**63"),
-            ("seed", 0, 2**128, "2**128"),  # a Philox key
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and low <= value < high):
-                raise ValueError(f"{name} must be in [{low}, {text}) and an integer, got {value!r}")
+        _check_integer("n_iter", self.n_iter, 1)
+        _check_integer("shots", self.shots, 1, 63)
+        _check_integer("repeats", self.repeats, 2, 63)
+        _check_integer("seed", self.seed, 0, 128)  # a Philox key
         try:
             limit = np.pi / (2 * self.n_iter)
         except OverflowError:  # N is beyond the float range
@@ -133,13 +128,16 @@ class SweepPoint:
 def trial_rng(seed: int, trial_index: int, resample_index: int = 0) -> np.random.Generator:
     """Counter-based substream keyed by (seed, trial index, resample index).
 
-    Each key selects a disjoint 2^128-block slice of one Philox stream, so
-    draws are identical no matter in which order trials are executed.
+    The seed is the Philox key, in [0, 2**128); the two indices, each in
+    [0, 2**64), are the counter's top two 64-bit words.  So each key selects
+    a disjoint 2^128-block slice of one Philox stream, and draws are
+    identical no matter in which order trials are executed.
     """
-    if seed < 0 or trial_index < 0 or resample_index < 0:
-        raise ValueError("seed, trial_index and resample_index must be non-negative")
-    counter = (int(resample_index) << 192) | (int(trial_index) << 128)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+    _check_integer("seed", seed, 0, 128)
+    _check_integer("trial_index", trial_index, 0, 64)
+    _check_integer("resample_index", resample_index, 0, 64)
+    counter = (int(resample_index) << 192) | (int(trial_index) << 128)  # a numpy integer overflows a shift
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
@@ -216,8 +214,7 @@ def mle_closed_form_batch(
     # NaN fails both comparisons; initial keeps an empty array valid.
     if not (0.0 <= counts.min(initial=0.0) and counts.max(initial=0.0) < np.inf):
         raise ValueError("counts must be non-negative and finite")
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
+    _check_integer("n_iter", n_iter, 1)
     n2, n3, n4 = counts[:, 1], counts[:, 2], counts[:, 3]
     total = counts.sum(axis=1)
     n34 = n3 + n4
@@ -302,8 +299,7 @@ def error_bars(config: TrialConfig, resamples: int = 100) -> tuple[float, float]
     Repetition r draws trial t from substream (config.seed, t, r + 1);
     resample index 0 is the main campaign.
     """
-    if resamples < 2:
-        raise ValueError("resamples must be >= 2")
+    _check_integer("resamples", resamples, 2)
     base = dataclasses.replace(config, noise_model="poisson")
     m_mse_theta = np.empty(resamples)
     m_mse_phi = np.empty(resamples)
@@ -324,15 +320,16 @@ def heisenberg_sweep(
 ) -> list[SweepPoint]:
     """One campaign per iteration count N, with QCRB and shot-noise references.
 
-    ``n_list`` is ascending.  Before any campaign runs, the first N whose
-    TrialConfig is invalid raises that config's ValueError.
+    ``n_list`` must be strictly ascending (a range: a positive step).  Before
+    any campaign runs, the first N whose TrialConfig is invalid, a fractional
+    N included, raises that config's ValueError.
 
     The shot-noise reference treats N iterations as N independent single-pass
     uses: M x MSE_SNL(theta) = 1/(2N), M x MSE_SNL(phi) = 1/(2N sin^2(N theta)).
     """
 
     def config(i: int) -> TrialConfig:
-        return TrialConfig(theta, phi, int(n_list[i]), shots, repeats, seed)
+        return TrialConfig(theta, phi, n_list[i], shots, repeats, seed)
 
     def valid(i: int) -> bool:
         try:
@@ -341,20 +338,28 @@ def heisenberg_sweep(
             return False
         return True
 
-    # Validity is monotone in N >= 1: pi/(2N) falls as N grows, and the float
-    # overflow starts at one N.  So after the first N, a bisection finds the
-    # first failing N of a sweep of any length.  index, not len: the len() of
-    # a range beyond sys.maxsize overflows.
-    if n_list:
-        config(0)
-        lo, hi = 0, n_list.index(n_list[-1])
-        if not valid(hi):
-            while hi - lo > 1:  # config(lo) is valid, config(hi) is not
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if valid(mid) else (lo, mid)
-            config(hi)
+    # A range may be too long to walk, but validity is monotone in N >= 1
+    # (pi/(2N) falls as N grows; the float overflow starts at one N), so a
+    # bisection finds its first failing N; index, not len, which overflows
+    # beyond sys.maxsize.  A sequence's configs are all built before it is compared.
+    if isinstance(n_list, range):
+        ascending = n_list.step > 0
+        if ascending and n_list:
+            config(0)
+            lo, hi = 0, n_list.index(n_list[-1])
+            if not valid(hi):
+                while hi - lo > 1:  # config(lo) is valid, config(hi) is not
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+                config(hi)
+    else:
+        for i in range(len(n_list)):
+            config(i)
+        ascending = all(a < b for a, b in zip(n_list, n_list[1:]))
+    if not ascending:
+        raise ValueError(f"n_list must be strictly ascending, got {n_list!r}")
     points = []
-    for n in map(int, n_list):
+    for n in n_list:
         stats = run_trials(TrialConfig(theta, phi, n, shots, repeats, seed))
         sin_sq = float(np.sin(n * theta) ** 2)
         snl_phi = 1.0 / (2.0 * n * sin_sq)

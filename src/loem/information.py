@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CurvatureConsistencyError, DivergentInformationError
-from .quantum import _CHUNK, StateFamily, central_difference, check_probabilities, derivatives
+from .quantum import _CHUNK, StateFamily, _check_integer, central_difference, check_probabilities, derivatives
 
 __all__ = [
     "qfim_pure",
@@ -132,8 +132,8 @@ def average_qfim(
     batches of _CHUNK // dim, added to the sum point by point in stream order,
     so the result depends only on (seed, samples), not on the batch size.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_integer("samples", samples, 1)
+    _check_integer("rng_seed", rng_seed, 0, 128)
     box_arr = np.asarray(box, dtype=float)
     if box_arr.shape != (family.n_params, 2):
         raise ValueError(f"box must have shape ({family.n_params}, 2), got {box_arr.shape}")

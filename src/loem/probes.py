@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import StateFamily, UnitaryFamily, loem_family, qubit_rotation, qubit_unitary, tensor_product
+from .quantum import StateFamily, UnitaryFamily, _check_integer, loem_family, qubit_rotation, qubit_unitary, tensor_product
 
 __all__ = [
     "orthogonal_probes",
@@ -66,8 +66,7 @@ def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
 @np.errstate(over="ignore")  # the result is checked instead
 def _amplified(n_iter: int, theta, phi):
     """(N theta, N phi), which must be finite: sin and cos of inf are NaN."""
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
+    _check_integer("n_iter", n_iter, 1)
     try:
         a, b = n_iter * theta, n_iter * phi
     except OverflowError:  # N is beyond the float range
@@ -85,8 +84,7 @@ def antiparallel_state(theta: float | np.ndarray, phi: float | np.ndarray, n_ite
 
 def antiparallel_family(n_iter: int = 1) -> StateFamily:
     """Antiparallel-pair family of (theta, phi): U(N x) on the probes |0>, |1>."""
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
+    _check_integer("n_iter", n_iter, 1)
 
     def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         u, du = qubit_rotation(np.stack(_amplified(n_iter, x[..., 0], x[..., 1]), axis=-1))
@@ -151,7 +149,6 @@ def outcome_probabilities(theta: float, phi: float, n_iter: int = 1) -> np.ndarr
 
 def antiparallel_qfim_closed(theta: float, n_iter: int = 1) -> np.ndarray:
     """Closed-form QFIM diag(2 N^2, 2 N^2 sin^2(N theta)) of the antiparallel state."""
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
+    _check_integer("n_iter", n_iter, 1)
     n_sq = float(n_iter) ** 2
     return np.diag([2.0 * n_sq, 2.0 * n_sq * np.sin(n_iter * theta) ** 2])

@@ -65,6 +65,13 @@ def check_probabilities(p: np.ndarray) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _check_integer(name: str, value, low: int, bits: int | None = None) -> None:
+    """Raise ValueError unless value is a Python or numpy integer, never a float, in [low, 2**bits) or [low, inf)."""
+    high, text = (np.inf, "inf") if bits is None else (2**bits, f"2**{bits}")
+    if not (isinstance(value, (int, np.integer)) and low <= value < high):
+        raise ValueError(f"{name} must be in [{low}, {text}) and an integer, got {value!r}")
+
+
 def qubit_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
     """Rotation taking |0> to cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 

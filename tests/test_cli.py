@@ -779,6 +779,14 @@ class TestExitCodes:
         assert err.startswith("error:") and "LOEM_SEED" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "heisenberg"])
+    def test_seed_env_beyond_philox_key_exit_one(self, monkeypatch, capsys, command):
+        # The CLI parses LOEM_SEED as an int; TrialConfig checks its range.
+        monkeypatch.setenv("LOEM_SEED", str(2**128))
+        assert main([command, "--theta-deg", "40", "--phi-deg", "36"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be in [0, 2**128)") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "heisenberg"])
     def test_seed_beyond_philox_key_exit_one(self, capsys, command):
         args = [command, "--theta-deg", "40", "--phi-deg", "36", "--seed", str(2**128)]
         assert main(args) == EXIT_USAGE

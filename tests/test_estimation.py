@@ -1,6 +1,7 @@
 """Tests for count sampling, the MLE pair, and Monte Carlo campaigns."""
 
 import dataclasses
+import re
 import signal
 
 import numpy as np
@@ -16,11 +17,15 @@ from loem import (
     STATUS_OK,
     DegenerateConfigurationError,
     TrialConfig,
+    antiparallel_family,
+    antiparallel_qfim_closed,
+    average_qfim,
     campaign_counts,
     error_bars,
     heisenberg_sweep,
     mle_closed_form_batch,
     outcome_probabilities,
+    qubit_family,
     run_trials,
     trial_rng,
 )
@@ -77,6 +82,13 @@ class TestSampleCounts:
             sample_counts(probs, 500, "multinomial", trial_rng(9, t)) for t in reversed(range(8))
         ]
         assert all(np.array_equal(f, b) for f, b in zip(forward, reversed(backward)))
+
+    @pytest.mark.parametrize("name, key", [("trial_index", (5, 2**64, 0)), ("resample_index", (5, 0, 2**64))])
+    def test_stream_index_beyond_a_counter_word_rejected(self, name, key):
+        # Trial 2**64 of resample 0 drew exactly trial 0 of resample 1.
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 2\*\*64\) and an integer, got {2**64}$"):
+            trial_rng(*key)
+        assert trial_rng(5, 2**64 - 1, 2**64 - 1).random(3).tolist() != trial_rng(5, 0, 0).random(3).tolist()
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
@@ -313,6 +325,19 @@ class TestTrialConfig:
         plain = TrialConfig(theta, phi, 1, shots=100, repeats=10, seed=3)
         wide = TrialConfig(theta, phi, np.int64(1), shots=np.int32(100), repeats=np.uint16(10), seed=np.uint64(3))
         assert run_trials(wide) == run_trials(plain)
+        assert error_bars(wide, np.int64(3)) == error_bars(plain, 3)
+        sweep = heisenberg_sweep(theta / 2, phi / 2, [1, 2], 100, 10, 3)
+        assert heisenberg_sweep(theta / 2, phi / 2, [np.int64(1), np.uint8(2)], 100, 10, np.uint64(3)) == sweep
+        x, counts = np.array([theta, phi]), campaign_counts(plain)
+        for result in (
+            lambda k: outcome_probabilities(theta, phi, k),
+            lambda k: antiparallel_qfim_closed(theta, k),
+            lambda k: np.array(mle_closed_form_batch(counts, k)),
+            lambda k: antiparallel_family(k).evaluate(x),
+            lambda k: trial_rng(k, k, k).random(3),
+            lambda k: average_qfim(qubit_family(), BOX, k, rng_seed=k),
+        ):
+            assert result(np.uint64(3)).tobytes() == result(3).tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200], ids=["-1", "2**128", "2**200"])
     def test_seed_outside_philox_keys_rejected(self, seed):
@@ -321,6 +346,33 @@ class TestTrialConfig:
 
     def test_largest_seed_accepted(self):
         assert TrialConfig(0.1, 0.1, 1, shots=10, repeats=10, seed=2**128 - 1).seed == 2**128 - 1
+
+
+BOX = ((0.0, np.pi), (0.0, 2 * np.pi))
+# (argument name, a call that passes value as that argument) for every integer
+# argument of the public API beyond TrialConfig's fields.
+INTEGER_ARGUMENTS = [
+    pytest.param("n_iter", lambda v: outcome_probabilities(0.1, 0.1, v), id="outcome_probabilities"),
+    pytest.param("n_iter", lambda v: antiparallel_family(v), id="antiparallel_family"),
+    pytest.param("n_iter", lambda v: antiparallel_qfim_closed(0.3, v), id="antiparallel_qfim_closed"),
+    pytest.param("n_iter", lambda v: mle_closed_form_batch(np.ones((2, 4)), v), id="mle_closed_form_batch"),
+    pytest.param("n_iter", lambda v: heisenberg_sweep(0.5, 0.5, [v], 1000, 10, 7), id="heisenberg_sweep"),
+    pytest.param("seed", lambda v: trial_rng(v, 0), id="trial_rng-seed"),
+    pytest.param("trial_index", lambda v: trial_rng(1, v), id="trial_rng-trial_index"),
+    pytest.param("resample_index", lambda v: trial_rng(1, 0, v), id="trial_rng-resample_index"),
+    pytest.param("resamples", lambda v: error_bars(TrialConfig(0.1, 0.1, 1, 100, 10, 1), v), id="error_bars"),
+    pytest.param("samples", lambda v: average_qfim(qubit_family(), BOX, v, 1), id="average_qfim-samples"),
+    pytest.param("rng_seed", lambda v: average_qfim(qubit_family(), BOX, 10, v), id="average_qfim-rng_seed"),
+]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [1.5, "3"])
+    @pytest.mark.parametrize("name, call", INTEGER_ARGUMENTS)
+    def test_non_integer_rejected(self, name, call, value):
+        # 1.5 was truncated to 1 (or compared as 1.5) and "3" raised numpy's or Python's TypeError.
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[\d+, .*\) and an integer, got {re.escape(repr(value))}$"):
+            call(value)
 
 
 class TestRunTrials:
@@ -547,6 +599,24 @@ class TestHeisenbergSweep:
         monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match=r"2\*\*128"):
             heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1, 2, 3], 100, 10, seed=2**128)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "angle, n_list, says",
+        [
+            (0.5, [1, 5, 2], "for N = 5$"),  # ran N = 1's campaign, then raised for N = 5
+            (0.5, [1, 5, 1], "for N = 5$"),  # N = 5 was never checked before the campaigns
+            (0.1, [2, 1], r"^n_list must be strictly ascending, got \[2, 1\]$"),
+            (0.1, [1, 1], "strictly ascending"),
+            (0.1, range(3, 0, -1), r"got range\(3, 0, -1\)$"),
+        ],
+        ids=["1-5-2", "1-5-1", "2-1", "1-1", "range-3-0--1"],
+    )
+    def test_unordered_n_list_runs_no_campaign(self, monkeypatch, angle, n_list, says):
+        calls = []
+        monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=says):
+            heisenberg_sweep(angle, angle, n_list, 100, 10, seed=0)
         assert calls == []
 
     def test_out_of_range_last_n_runs_no_campaign(self, monkeypatch):
