@@ -62,11 +62,8 @@ HEISENBERG_COLUMNS = [
     "snl_phi",
 ]
 
-_FAMILIES = {
-    "antiparallel": antiparallel_family,
-    "single": lambda n_iter: qubit_family(),
-    "parallel": lambda n_iter: identical_pair_family(),
-}
+# Only the antiparallel family takes N; the others exist at N = 1 alone.
+_FAMILIES = {"antiparallel": antiparallel_family, "single": qubit_family, "parallel": identical_pair_family}
 
 
 class UsageError(ValueError):
@@ -116,9 +113,7 @@ def _add_angle_options(sub):
 
 
 def _add_n_option(sub):
-    # qfim and wcc ignore N for the single and parallel families, so no
-    # library call would reject --n 0 there.
-    sub.add_argument("--n", type=_int_at_least(1), default=1, help="iteration count N")
+    sub.add_argument("--n", type=int, default=1, help="iteration count N")
 
 
 def _add_output_options(sub, table: bool = False):
@@ -262,7 +257,9 @@ def _write_table(handle, columns: list[str], blocks, fmt: str):
 
 
 def _state_and_jacobian(args) -> tuple[np.ndarray, np.ndarray]:
-    family = _FAMILIES[args.family](args.n)
+    if args.family != "antiparallel" and args.n != 1:
+        raise UsageError(f"--family {args.family} has no iteration count: --n must be 1, got {args.n}")
+    family = antiparallel_family(args.n) if args.family == "antiparallel" else _FAMILIES[args.family]()
     x = np.array([math.radians(args.theta_deg), math.radians(args.phi_deg)])
     return family.evaluate(x), derivatives(family, x)
 

@@ -4,9 +4,9 @@ Counts are drawn per four-port trial, (theta, phi) is recovered by the exact
 closed-form multinomial MLE, and repeated campaigns produce M x MSE
 statistics, error bars, and Heisenberg-scaling sweeps with their Cramér-Rao
 and shot-noise references.
-A campaign draws its trials with scalar generator calls into an (R, 4) count
-array, then works on arrays: a row-wise MLE, and statistics over the rows
-that did not fail.
+A campaign draws its trials with scalar generator calls, one loop for both
+noise models, into an (R, 4) count array, then works on arrays: a row-wise
+MLE, and statistics over the rows that did not fail.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateConfigurationError
-from .probes import antiparallel_qfim_closed, outcome_probabilities
+from .probes import _angle_limit, antiparallel_qfim_closed, outcome_probabilities
 from .quantum import _check_integer, check_probabilities
 
 __all__ = [
@@ -48,7 +48,7 @@ STATUS_OK, STATUS_BOUNDARY, STATUS_FAILED = 0, 1, 2
 # statistics.
 _MAX_FAILURE_FRACTION = 0.10
 
-# Poisson rows collected in a list before one slice assignment stores them,
+# Count rows collected in a list before one slice assignment stores them,
 # which bounds the list's memory.
 _ROWS = 4096
 
@@ -58,7 +58,8 @@ class TrialConfig:
     """One simulated campaign: true angles, iteration count, and sampling plan.
 
     Angles are radians and must satisfy 0 <= theta, phi < pi/(2N), the
-    identifiable range of the four-port outcome model.
+    identifiable range of the four-port outcome model; N must keep the
+    bounds' 2 N^2 finite.
     """
 
     theta_true: float
@@ -74,10 +75,7 @@ class TrialConfig:
         _check_integer("shots", self.shots, 1, 63)
         _check_integer("repeats", self.repeats, 2, 63)
         _check_integer("seed", self.seed, 0, 128)  # a Philox key
-        try:
-            limit = np.pi / (2 * self.n_iter)
-        except OverflowError:  # N is beyond the float range
-            raise ValueError(f"pi/(2N) cannot be computed for N = {self.n_iter}") from None
+        limit = _angle_limit(self.n_iter)
         for name, value in (("theta_true", self.theta_true), ("phi_true", self.phi_true)):
             if not 0.0 <= value < limit:
                 raise ValueError(
@@ -86,6 +84,7 @@ class TrialConfig:
                 )
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
+        antiparallel_qfim_closed(self.theta_true, self.n_iter)  # the bounds need a finite 2 N^2
 
 
 @dataclass(frozen=True)
@@ -151,9 +150,9 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
     (0, 0, t, resample_index), the block trial_rng(seed, t, resample_index)
     starts at.  The fresh state is trial_rng's own, with its words as Python
     ints, which the Philox state setter reads at under half the cost of
-    uint64 arrays.  Multinomial rows are stored one by one.  Poisson trials
-    are four scalar draws each, collected in a flat list of up to _ROWS
-    rows that one slice assignment stores.
+    uint64 arrays.  A trial's four counts, one multinomial draw or four
+    scalar Poisson draws, go into a flat list of up to _ROWS rows that one
+    slice assignment stores.
     """
     probs = check_probabilities(outcome_probabilities(config.theta_true, config.phi_true, config.n_iter))
     probs = probs / probs.sum()
@@ -167,25 +166,23 @@ def campaign_counts(config: TrialConfig, resample_index: int = 0) -> np.ndarray:
     fresh["buffer"] = fresh["buffer"].tolist()
     counter = fresh["state"]["counter"]
     shots = config.shots
-    if config.noise_model == "multinomial":
-        multinomial = rng.multinomial
-        for trial in range(config.repeats):
+    is_multinomial = config.noise_model == "multinomial"
+    multinomial, poisson = rng.multinomial, rng.poisson
+    # Four scalar Poisson draws consume the stream exactly as rng.poisson(means)
+    # does, at about a quarter of its cost (1.9 against 8.2 us per trial).
+    m1, m2, m3, m4 = (float(m) for m in shots * probs)
+    flat = counts.reshape(-1)
+    for start in range(0, config.repeats, _ROWS):
+        rows = []
+        for trial in range(start, min(start + _ROWS, config.repeats)):
             counter[2] = trial
             bit_generator.state = fresh
-            counts[trial] = multinomial(shots, probs)
-    else:
-        # Four scalar draws consume the stream exactly as rng.poisson(means)
-        # does, at about a quarter of its cost (1.9 against 8.2 us per trial).
-        poisson = rng.poisson
-        m1, m2, m3, m4 = (float(m) for m in shots * probs)
-        flat = counts.reshape(-1)
-        for start in range(0, config.repeats, _ROWS):
-            rows = []
-            for trial in range(start, min(start + _ROWS, config.repeats)):
-                counter[2] = trial
-                bit_generator.state = fresh
-                rows += (poisson(m1), poisson(m2), poisson(m3), poisson(m4))
-            flat[4 * start : 4 * start + len(rows)] = rows
+            rows += (
+                multinomial(shots, probs).tolist()
+                if is_multinomial
+                else (poisson(m1), poisson(m2), poisson(m3), poisson(m4))
+            )
+        flat[4 * start : 4 * start + len(rows)] = rows
     return counts
 
 
@@ -214,11 +211,10 @@ def mle_closed_form_batch(
     # NaN fails both comparisons; initial keeps an empty array valid.
     if not (0.0 <= counts.min(initial=0.0) and counts.max(initial=0.0) < np.inf):
         raise ValueError("counts must be non-negative and finite")
-    _check_integer("n_iter", n_iter, 1)
+    limit = _angle_limit(n_iter)
     n2, n3, n4 = counts[:, 1], counts[:, 2], counts[:, 3]
     total = counts.sum(axis=1)
     n34 = n3 + n4
-    limit = np.pi / (2 * n_iter)
     with np.errstate(divide="ignore", invalid="ignore"):
         s_hat = (2.0 * n2 + n34) / (2.0 * total)
         theta_hat = 2.0 * np.arcsin(np.sqrt(s_hat)) / n_iter
@@ -339,7 +335,7 @@ def heisenberg_sweep(
         return True
 
     # A range may be too long to walk, but validity is monotone in N >= 1
-    # (pi/(2N) falls as N grows; the float overflow starts at one N), so a
+    # (pi/(2N) falls and 2 N^2 grows with N; each overflow starts at one N), so a
     # bisection finds its first failing N; index, not len, which overflows
     # beyond sys.maxsize.  A sequence's configs are all built before it is compared.
     if isinstance(n_list, range):

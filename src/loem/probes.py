@@ -13,12 +13,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import StateFamily, UnitaryFamily, _check_integer, loem_family, qubit_rotation, qubit_unitary, tensor_product
+from .quantum import StateFamily, UnitaryFamily, _check_integer, loem_family, qubit_rotation
 
 __all__ = [
     "orthogonal_probes",
     "generator_unitary",
-    "antiparallel_state",
     "antiparallel_family",
     "identical_pair_family",
     "bell_like_basis",
@@ -76,10 +75,13 @@ def _amplified(n_iter: int, theta, phi):
     return a, b
 
 
-def antiparallel_state(theta: float | np.ndarray, phi: float | np.ndarray, n_iter: int = 1) -> np.ndarray:
-    """U(N theta, N phi)|0> (x) U(N theta, N phi)|1> in basis |00>,|01>,|10>,|11>."""
-    u = qubit_unitary(*_amplified(n_iter, theta, phi))
-    return tensor_product([u[..., :, 0], u[..., :, 1]])
+def _angle_limit(n_iter: int) -> float:
+    """pi/(2N), the bound of the identifiable box 0 <= theta, phi < pi/(2N)."""
+    _check_integer("n_iter", n_iter, 1)
+    try:
+        return np.pi / (2 * n_iter)
+    except OverflowError:  # N is beyond the float range
+        raise ValueError(f"pi/(2N) cannot be computed for N = {n_iter}") from None
 
 
 def antiparallel_family(n_iter: int = 1) -> StateFamily:
@@ -147,8 +149,11 @@ def outcome_probabilities(theta: float, phi: float, n_iter: int = 1) -> np.ndarr
     )
 
 
+@np.errstate(over="ignore")  # the result is checked instead
 def antiparallel_qfim_closed(theta: float, n_iter: int = 1) -> np.ndarray:
-    """Closed-form QFIM diag(2 N^2, 2 N^2 sin^2(N theta)) of the antiparallel state."""
-    _check_integer("n_iter", n_iter, 1)
-    n_sq = float(n_iter) ** 2
-    return np.diag([2.0 * n_sq, 2.0 * n_sq * np.sin(n_iter * theta) ** 2])
+    """Closed-form QFIM diag(2 N^2, 2 N^2 sin^2(N theta)) of the antiparallel state; 2 N^2 must be finite."""
+    a, _ = _amplified(n_iter, theta, 0.0)
+    two_n_sq = 2.0 * np.float64(n_iter) ** 2
+    if not np.isfinite(two_n_sq):
+        raise ValueError(f"2 N^2 is not finite for N = {n_iter}")
+    return np.diag([two_n_sq, two_n_sq * np.sin(a) ** 2])

@@ -297,6 +297,26 @@ class TestSingleResultCommands:
         assert code == EXIT_OK
         assert "wcc_holds = false" in capsys.readouterr().out
 
+    # The README's text commands, recorded before the curvature's <psi|psi> moved from np.vdot to np.vecdot.
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["probs", "--theta-deg", "90", "--phi-deg", "45", "--n", "1"], "0.25 0.25 0.25 0.25\n"),
+            (
+                ["qfim", "--theta-deg", "50", "--phi-deg", "20", "--family", "antiparallel"],
+                "2 -2.35736444454e-35\n-2.35736444454e-35 1.17364817767\n",
+            ),
+            (
+                ["wcc", "--family", "antiparallel", "--theta-deg", "50", "--phi-deg", "20"],
+                "max_abs_curvature = 8.42159e-18\nwcc_holds = true (tol = 1e-08)\n",
+            ),
+        ],
+        ids=["probs", "qfim", "wcc"],
+    )
+    def test_readme_text_golden(self, capsys, args, text):
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == text
+
     # Recorded before the curvature took its Gram matrix and overlaps from qfim_pure's
     # expressions: |sin 50 deg| for the identical pair, half of it for one qubit.
     @pytest.mark.parametrize("family, curvature", [("parallel", "0.766044"), ("single", "0.383022")])
@@ -647,6 +667,10 @@ REJECTED_VALUES = [
     (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--repeats", HUGE_REPEATS], ""),
     (["simulate", "--phi-deg", "36", "--repeats", "100000000000000000000"], "repeats must be in"),
     (["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", HUGE_N], "N * angle is not finite for N ="),
+    (["qfim", "--family", "parallel", "--theta-deg", "50", "--phi-deg", "20", "--n", "3"], "--n must be 1, got 3"),
+    (["wcc", "--family", "single", "--theta-deg", "50", "--phi-deg", "20", "--n", "2"], "--n must be 1, got 2"),
+    (["qfim", "--theta-deg", "50", "--phi-deg", "20", "--n", "0"], "n_iter must be in [1, inf)"),
+    (["simulate", "--theta-deg", "5.7e-198", "--phi-deg", "5.7e-198", "--n", str(10**199)], "2 N^2 is not finite"),
 ]
 
 
@@ -696,7 +720,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("n_max", [10**300, 10**400], ids=["1e300", "1e400"])
     def test_huge_n_max_ends_at_once(self, capsys, n_max):
         # theta = phi = 0 is valid for every N up to the float overflow of
-        # pi/(2N) near N = 9e307: the sweep exits 2 at its first campaign
+        # 2 N^2 near N = 9.5e153: the sweep exits 2 at its first campaign
         # below that, and exits 1 naming the first overflowing N above it.
         tracemalloc.start()
         try:
@@ -715,6 +739,16 @@ class TestExitCodes:
         assert main(["simulate", "--theta-deg", "10", "95", "--phi-deg", "36"]) == EXIT_USAGE
         assert calls == []
         assert one_error_line(capsys.readouterr().err)
+
+    def test_overflowing_qcrb_runs_no_campaign(self, monkeypatch, capsys):
+        # It printed qcrb_theta = qcrb_phi = 0.0 with exit 0: 2 N^2 overflowed to inf.
+        calls = []
+        monkeypatch.setattr(loem.cli, "run_trials", lambda *a, **k: calls.append(a))
+        args = ["simulate", "--theta-deg", "4.01e-153", "--phi-deg", "2.5e-153", "--n", str(10**154)]
+        assert main(args + ["--repeats", "10", "--resamples", "0"]) == EXIT_USAGE
+        assert calls == []
+        err = capsys.readouterr().err
+        assert one_error_line(err) and f"2 N^2 is not finite for N = {10**154}" in err
 
     def test_single_resample_runs_no_campaign(self, monkeypatch, capsys):
         calls = []

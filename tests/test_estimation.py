@@ -347,6 +347,12 @@ class TestTrialConfig:
     def test_largest_seed_accepted(self):
         assert TrialConfig(0.1, 0.1, 1, shots=10, repeats=10, seed=2**128 - 1).seed == 2**128 - 1
 
+    def test_huge_n_named(self):
+        # mle_closed_form_batch raised a bare OverflowError from pi/(2N)
+        for call in (lambda n: TrialConfig(0.0, 0.0, n, 10, 10, 0), lambda n: mle_closed_form_batch(np.ones((2, 4)), n)):
+            with pytest.raises(ValueError, match=rf"^pi/\(2N\) cannot be computed for N = {10**400}$"):
+                call(10**400)
+
 
 BOX = ((0.0, np.pi), (0.0, 2 * np.pi))
 # (argument name, a call that passes value as that argument) for every integer
@@ -625,3 +631,18 @@ class TestHeisenbergSweep:
         with pytest.raises(ValueError, match="N = 11"):
             heisenberg_sweep(np.radians(8.5), np.radians(8.5), list(range(1, 12)), 100, 10, seed=0)
         assert calls == []
+
+    def test_overflowing_qcrb_runs_no_campaign(self, monkeypatch):
+        # theta = phi = 0 is in range up to N = 9e307, but 2 N^2 overflows beyond N = 9.5e153:
+        # every N ran its campaign, with a QCRB of 0 or an OverflowError from N^2.
+        calls = []
+        monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=rf"^2 N\^2 is not finite for N = {10**154}$"):
+            heisenberg_sweep(0.0, 0.0, [1, 10**154], 100, 10, seed=0)
+        with pytest.raises(ValueError, match=r"^2 N\^2 is not finite for N = \d+$") as raised:
+            heisenberg_sweep(0.0, 0.0, range(1, 10**200), 100, 10, seed=0)
+        assert calls == []
+        first = int(str(raised.value).rsplit(" ", 1)[1])  # the bisection's first failing N
+        assert np.isfinite(antiparallel_qfim_closed(0.0, first - 1)).all()
+        with pytest.raises(ValueError):
+            antiparallel_qfim_closed(0.0, first)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from loem import (
     antiparallel_family,
     antiparallel_qfim_closed,
-    antiparallel_state,
     bell_like_basis,
     born_probabilities,
     derivatives,
@@ -141,12 +140,17 @@ class TestExactJacobian:
         assert np.max(np.abs(uhlmann_curvature(state, jac))) < 1e-12 * scale
 
 
+def pair_state(theta, phi, n_iter=1):
+    """The antiparallel pair's state at one point, from its family."""
+    return antiparallel_family(n_iter).evaluate(np.array([theta, phi]))
+
+
 class TestAntiparallelState:
     def test_zero_theta(self):
-        assert np.allclose(antiparallel_state(0.0, 0.73, 1), [0, 1, 0, 0], atol=1e-15)
+        assert np.allclose(pair_state(0.0, 0.73, 1), [0, 1, 0, 0], atol=1e-15)
 
     def test_hand_multiplied(self):
-        assert np.allclose(antiparallel_state(np.pi / 2, 0.0, 1), [-0.5, 0.5, -0.5, 0.5], atol=1e-12)
+        assert np.allclose(pair_state(np.pi / 2, 0.0, 1), [-0.5, 0.5, -0.5, 0.5], atol=1e-12)
 
     def test_closed_form_amplitudes(self):
         # (-e^{-iNp} sin(Nt)/2, cos^2(Nt/2), -sin^2(Nt/2), e^{iNp} sin(Nt)/2)
@@ -163,19 +167,18 @@ class TestAntiparallelState:
                     np.exp(1j * b) * np.sin(a) / 2,
                 ]
             )
-            assert np.allclose(antiparallel_state(theta, phi, n), expected, atol=1e-13)
-            assert np.allclose(antiparallel_family(n).evaluate(np.array([theta, phi])), expected, atol=1e-13)
+            assert np.allclose(pair_state(theta, phi, n), expected, atol=1e-13)
 
     def test_iteration_amplifies_angles(self):
         assert np.allclose(
-            antiparallel_state(np.pi / 4, np.pi / 6, 2),
-            antiparallel_state(np.pi / 2, np.pi / 3, 1),
+            pair_state(np.pi / 4, np.pi / 6, 2),
+            pair_state(np.pi / 2, np.pi / 3, 1),
             atol=1e-14,
         )
 
     def test_invalid_iteration_count(self):
         with pytest.raises(ValueError):
-            antiparallel_state(0.1, 0.1, 0)
+            pair_state(0.1, 0.1, 0)
 
 
 class TestBellLikeBasis:
@@ -199,11 +202,11 @@ class TestBellLikeBasis:
 
 class TestBornProbabilities:
     def test_theta_zero_point_mass(self):
-        probs = born_probabilities(antiparallel_state(0.0, 0.3, 1), bell_like_basis())
+        probs = born_probabilities(pair_state(0.0, 0.3, 1), bell_like_basis())
         assert np.allclose(probs, [1, 0, 0, 0], atol=1e-15)
 
     def test_uniform_point(self):
-        probs = born_probabilities(antiparallel_state(np.pi / 2, np.pi / 4, 1), bell_like_basis())
+        probs = born_probabilities(pair_state(np.pi / 2, np.pi / 4, 1), bell_like_basis())
         assert np.allclose(probs, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
 
     def test_matches_closed_form_on_grid(self):
@@ -212,7 +215,7 @@ class TestBornProbabilities:
         worst = 0.0
         for theta in angles:
             for phi in angles:
-                pb = born_probabilities(antiparallel_state(theta, phi, 1), basis)
+                pb = born_probabilities(pair_state(theta, phi, 1), basis)
                 pc = outcome_probabilities(theta, phi, 1)
                 worst = max(worst, np.max(np.abs(pb - pc)))
         assert worst < 1e-12
@@ -223,7 +226,7 @@ class TestBornProbabilities:
         for _ in range(1000):
             theta, phi = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
             n = int(rng.integers(1, 11))
-            pb = born_probabilities(antiparallel_state(theta, phi, n), basis)
+            pb = born_probabilities(pair_state(theta, phi, n), basis)
             pc = outcome_probabilities(theta, phi, n)
             assert np.max(np.abs(pb - pc)) < 1e-12
 
@@ -281,6 +284,16 @@ class TestAntiparallelQfimClosed:
         q = antiparallel_qfim_closed(0.0, 3)
         assert q[0, 0] == 18.0
         assert q[1, 1] == 0.0
+
+    @pytest.mark.parametrize(
+        "n_iter, says",
+        [(10**154, r"2 N\^2 is not finite"), (10**200, r"2 N\^2 is not finite"), (10**400, "N \\* angle is not finite")],
+        ids=["1e154", "1e200", "1e400"],
+    )
+    def test_overflowing_n_named(self, n_iter, says):
+        # 2 N^2 was inf (so the bound 1/(2 N^2) read 0), an OverflowError from N^2, or from float(N)
+        with pytest.raises(ValueError, match=rf"^{says} for N = {n_iter}$"):
+            antiparallel_qfim_closed(1e-300, n_iter)
 
     def test_matches_numerical_qfim(self):
         rng = np.random.default_rng(14)
