@@ -34,6 +34,6 @@ class DivergentInformationError(LoemError):
 
 
 class DegenerateConfigurationError(LoemError):
-    """A campaign has too few usable estimates: too many failed because the
-    true parameters sit near an unidentifiable configuration (sin(N*theta)
-    near zero), or fewer than two are left for its statistics."""
+    """A campaign has too few usable estimates: too many failed because ports 3
+    and 4 expect few counts per trial, M sin^2(N theta)/2 (theta near a zero of
+    sin(N theta), or few shots), or fewer than two are left for statistics."""

@@ -250,9 +250,11 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
     thetas, phis, status = mle_closed_form_batch(counts, config.n_iter)
     n_ok, n_boundary, n_failed = np.bincount(status, minlength=3).tolist()  # STATUS_* are 0, 1, 2
     if config.shots > 1 and n_failed > _MAX_FAILURE_FRACTION * config.repeats:
+        p34 = outcome_probabilities(config.theta_true, config.phi_true, config.n_iter)[2:].sum()
         raise DegenerateConfigurationError(
-            f"{n_failed}/{config.repeats} estimates failed; true theta = "
-            f"{config.theta_true!r} is too close to a sin(N theta) = 0 zero for N = {config.n_iter}"
+            f"{n_failed}/{config.repeats} estimates failed, above 10%: a trial fails when ports 3 and 4 get no "
+            f"counts, and they expect M sin^2(N theta)/2 = {config.shots * p34:.4g} per trial "
+            f"for N = {config.n_iter}, M = {config.shots}"
         )
     usable = config.repeats - n_failed
     if usable < 2:
@@ -260,9 +262,8 @@ def run_trials(config: TrialConfig, resample_index: int = 0) -> TrialStatistics:
             f"only {usable} of {config.repeats} estimates usable with shots = {config.shots}; "
             "campaign statistics need at least 2"
         )
-    if n_failed:
-        kept = status != STATUS_FAILED
-        thetas, phis = thetas[kept], phis[kept]
+    kept = status != STATUS_FAILED
+    thetas, phis = thetas[kept], phis[kept]
     shots = float(config.shots)
     sq_t = (thetas - config.theta_true) ** 2
     sq_p = (phis - config.phi_true) ** 2

@@ -9,7 +9,7 @@ Bell-like four-port basis; N iterative interactions amplify the angles to
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,8 @@ def orthogonal_probes(d: int) -> np.ndarray:
 def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
     """Unitary family U(x) = exp(-i sum_k x_k G_k) for generators G_k Hermitian to 1e-12 max|G_k|.
 
-    The deferred dU/dx_k = V (D o V† G_k V) V† reuses H = V diag(l) V† from U; the divided differences
-    of e^{-il} (Daleckii-Krein) D_ab = -i e^{-i(l_a+l_b)/2} sinc((l_a-l_b)/2pi) need no branch for equal l.
+    dU/dx_k = V (D o V† G_k V) V† reuses H = V diag(l) V† from U; the divided differences of e^{-il}
+    (Daleckii-Krein) D_ab = -i e^{-i(l_a+l_b)/2} sinc((l_a-l_b)/2pi) need no branch for equal l.
     """
     gens = np.array(generators, dtype=complex)  # a copy: a caller's later edit must not bypass the check
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -47,16 +47,13 @@ def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
         if not np.max(np.abs(g - g.conj().T)) <= 1e-12 * np.max(np.abs(g)):
             raise ValueError(f"generator {k} is not Hermitian")
 
-    def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    def unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = (np.asarray(x, dtype=float)[..., :, None, None] * gens).sum(axis=-3)
         vals, vecs = np.linalg.eigh(h)
-
-        def du() -> np.ndarray:
-            la, lb = vals[..., None, :, None], vals[..., None, None, :]
-            dd = -1j * np.exp(-0.5j * (la + lb)) * np.sinc((la - lb) / (2 * np.pi))
-            v = vecs[..., None, :, :]  # V with a parameter axis
-            return v @ (dd * (v.conj().swapaxes(-1, -2) @ gens @ v)) @ v.conj().swapaxes(-1, -2)
-
+        la, lb = vals[..., None, :, None], vals[..., None, None, :]
+        dd = -1j * np.exp(-0.5j * (la + lb)) * np.sinc((la - lb) / (2 * np.pi))
+        v = vecs[..., None, :, :]  # V with a parameter axis
+        du = v @ (dd * (v.conj().swapaxes(-1, -2) @ gens @ v)) @ v.conj().swapaxes(-1, -2)
         return (vecs * np.exp(-1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2), du
 
     return unitary
@@ -88,9 +85,9 @@ def antiparallel_family(n_iter: int = 1) -> StateFamily:
     """Antiparallel-pair family of (theta, phi): U(N x) on the probes |0>, |1>."""
     _check_integer("n_iter", n_iter, 1)
 
-    def unitary(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    def unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u, du = qubit_rotation(np.stack(_amplified(n_iter, x[..., 0], x[..., 1]), axis=-1))
-        return u, lambda: float(n_iter) * du()
+        return u, float(n_iter) * du
 
     return loem_family(unitary, 2, orthogonal_probes(2))
 

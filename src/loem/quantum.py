@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 States are complex ndarrays (..., dim), unitaries (..., d, d); leading axes
-index a batch of points.  Parameterized families bundle an evaluation map
-with either an analytic Jacobian or a central-difference rule, and every
-operation here is a pure function of its inputs.
+index a batch of points.  Unitary families give U and dU as arrays; state
+families bundle an evaluation map with an analytic or central-difference
+Jacobian, and every operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ __all__ = [
     "qubit_family",
 ]
 
-# Points x (..., P) -> U(x) (..., d, d) and a function giving dU/dx_k stacked as (..., P, d, d).
-UnitaryFamily = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
+# Points x (..., P) -> U(x) (..., d, d) and dU/dx_k stacked as (..., P, d, d).
+UnitaryFamily = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 #: Central-difference step. Balances O(h^2) truncation against floating-point
 #: cancellation at double precision; validated against analytic qubit
@@ -88,16 +88,13 @@ def qubit_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndar
     return u
 
 
-def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """qubit_unitary as a unitary family: points (..., 2) give U (..., 2, 2), deferred dU/dx_k (..., 2, 2, 2)."""
-
-    def du() -> np.ndarray:
-        c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
-        zero = np.zeros_like(phase)
-        d_theta = [-0.5 * s, -0.5 * c / phase, 0.5 * phase * c, -0.5 * s]
-        d_phi = [zero, 1j * s / phase, 1j * phase * s, zero]  # 1j * U * [[0, -1], [1, 0]], entrywise
-        return np.stack(d_theta + d_phi, axis=-1).reshape(x.shape[:-1] + (2, 2, 2))
-
+def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qubit_unitary as a unitary family: points (..., 2) give U (..., 2, 2) and dU/dx_k (..., 2, 2, 2)."""
+    c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
+    zero = np.zeros_like(phase)
+    d_theta = [-0.5 * s, -0.5 * c / phase, 0.5 * phase * c, -0.5 * s]
+    d_phi = [zero, 1j * s / phase, 1j * phase * s, zero]  # 1j * U * [[0, -1], [1, 0]], entrywise
+    du = np.stack(d_theta + d_phi, axis=-1).reshape(x.shape[:-1] + (2, 2, 2))
     return qubit_unitary(x[..., 0], x[..., 1]), du
 
 
@@ -170,12 +167,12 @@ def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
 
 
 def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray) -> StateFamily:
-    """Family x -> tensor product of U(x)|p_k> over the rows of probes (K, d), first most significant.
+    """Family x -> tensor product of U(x)|p_k> over the unit-vector rows of probes (K, d), first most significant.
 
     U must be a deterministic function of x, as StateFamily requires of evaluate: the family keeps
-    the last points' deferred dU, factor states U|p_k> and suffix products U|p_{k+1}> (x) ... (x) U|p_K>,
+    the last points' dU, factor states U|p_k> and suffix products U|p_{k+1}> (x) ... (x) U|p_K>,
     so evaluate followed by derivatives at the same points calls the unitary family once.  Per point
-    that is K d + d**K / (d-1) amplitudes at most, held until a call at other points.
+    that is P d**2 + K d + d**K / (d-1) amplitudes at most, held until a call at other points.
     """
     probes = np.array(probes, dtype=complex)  # a copy: a caller's later edit must not change the family
     if probes.ndim != 2 or probes.size == 0:
@@ -183,12 +180,15 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
     k, d = probes.shape
     if d ** min(k, 16) > _MAX_DENSE_DIM:  # d**K itself can take seconds to compute; 2**16 is already above
         raise ValueError(f"the dense state would have d**K = {d}**{k} amplitudes, above 6**6 = {_MAX_DENSE_DIM}")
+    for row, norm_sq in enumerate(np.vecdot(probes, probes).real.tolist()):
+        if not abs(norm_sq - 1.0) <= _UNITARY_ATOL:  # NaN fails
+            raise ValueError(f"probe row {row} is not a unit vector: |<p|p> - 1| = {abs(norm_sq - 1.0):.3e}")
     last = (None, None)  # (key, point) of the last points, replaced in one assignment
 
-    def point(x: np.ndarray) -> tuple[Callable[[], np.ndarray], list[np.ndarray], list[np.ndarray]]:
-        """Deferred dU, factors U|p_k> and suffixes[i] = factors[i+1] (x) ... (x) factors[K-1] at points x."""
+    def point(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """dU, factors U|p_k> and suffixes[i] = factors[i+1] (x) ... (x) factors[K-1] at points x."""
         nonlocal last
-        x = np.atleast_1d(np.array(x, dtype=float))  # a private copy: a deferred dU may read x later
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         key = (x.shape, x.tobytes())
         last_key, value = last
         if last_key == key:
@@ -211,8 +211,7 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # From the last factor: d(a (x) s) = a (x) ds + da (x) s for a suffix state s, one (..., P, d, D) array
-        deferred_du, factors, suffixes = point(x)
-        du = deferred_du()
+        du, factors, suffixes = point(x)
         jac = du @ probes[-1]
         for i in range(k - 2, -1, -1):
             jac = factors[i][..., None, :, None] * jac[..., :, None, :]

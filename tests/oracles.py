@@ -166,8 +166,7 @@ def left_fold_state(unitary_family: UnitaryFamily, probes: np.ndarray, x: np.nda
 
 def left_fold_jacobian(unitary_family: UnitaryFamily, probes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """d(s (x) a) = ds (x) a + s (x) da, folded from the first factor; (..., dim, P)."""
-    u, deferred_du = unitary_family(np.asarray(x, dtype=float))
-    du = deferred_du()
+    u, du = unitary_family(np.asarray(x, dtype=float))
     (state, jac), *rest = [(u @ probe, du @ probe) for probe in np.asarray(probes, dtype=complex)]
     for a, da in rest:
         jac = _left_kron(jac, a[..., None, :]) + _left_kron(state[..., None, :], da)

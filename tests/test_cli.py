@@ -733,6 +733,15 @@ class TestExitCodes:
         assert code in (EXIT_USAGE, EXIT_NUMERICAL) and one_error_line(capsys.readouterr().err)
         assert elapsed < 2.0 and peak < 5 * 2**20
 
+    def test_few_shots_name_the_port_34_count(self, capsys):
+        # sin^2(89 deg) is near 1, yet it blamed a sin(N theta) = 0 zero: two shots give ports 3 and 4
+        # about one count per trial, so about a quarter of the trials see none
+        args = ["simulate", "--theta-deg", "89", "--phi-deg", "45", "--shots", "2", "--repeats", "400"]
+        assert main(args + ["--resamples", "0", "--seed", "0"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert one_error_line(err) and err.startswith("error: 98/400 estimates failed")
+        assert "ports 3 and 4" in err and "M sin^2(N theta)/2 = 0.9997 per trial for N = 1, M = 2" in err
+
     def test_out_of_range_row_runs_no_campaign(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(loem.cli, "run_trials", lambda *a, **k: calls.append(a))

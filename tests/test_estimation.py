@@ -413,6 +413,13 @@ class TestRunTrials:
         with pytest.raises(DegenerateConfigurationError):
             run_trials(config)
 
+    def test_too_many_failures_name_the_port_34_count(self):
+        # M sin^2(N theta)/2 = 2 sin^2(2 x 44 deg)/2 = 0.9988 counts per trial
+        config = TrialConfig(np.radians(44.0), np.radians(20.0), 2, shots=2, repeats=400, seed=0)
+        message = r"above 10%: .* ports 3 and 4 .* M sin\^2\(N theta\)/2 = 0\.9988 per trial for N = 2, M = 2$"
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            run_trials(config)
+
     def test_single_shot_needs_two_usable_estimates(self):
         # theta = 0 gives n3 = n4 = 0 in every trial; at one shot the failures
         # are not blamed on a sin(N theta) zero, only counted

@@ -18,7 +18,6 @@ from loem import (
     derivatives,
     generator_unitary,
     loem_family,
-    orthogonal_probes,
     qfim_pure,
     qubit_family,
     qubit_rotation,
@@ -184,18 +183,22 @@ class TestLoemFamily:
         x = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(4, 9, 2)
         family = qubit_family()
         assert np.array_equal(family.evaluate(x), qubit_unitary(x[..., 0], x[..., 1])[..., :, 0])
-        assert np.array_equal(derivatives(family, x), qubit_rotation(x)[1]()[..., :, 0].swapaxes(-1, -2))
+        assert np.array_equal(derivatives(family, x), qubit_rotation(x)[1][..., :, 0].swapaxes(-1, -2))
 
-    def test_evaluate_does_not_ask_for_du(self):
-        def du():
-            raise RuntimeError("dU asked for")
-
-        family = loem_family(lambda x: (qubit_rotation(x)[0], du), 2, orthogonal_probes(2))
-        x = np.array([0.4, 1.1])
-        u = qubit_unitary(0.4, 1.1)
-        assert np.array_equal(family.evaluate(x), tensor_product([u[:, 0], u[:, 1]]))
-        with pytest.raises(RuntimeError, match="dU asked for"):
-            derivatives(family, x)
+    @pytest.mark.parametrize(
+        "probes, says",
+        [
+            ([[2, 0]], "row 0 is not a unit vector: |<p|p> - 1| = 3.000e+00"),
+            ([[1, 0], [0, np.nan]], "row 1"),
+            ([[1, 0], [0, 1.0 + 1e-12]], "row 1 is not a unit vector: |<p|p> - 1| = 2.000e-12"),
+        ],
+        ids=["2|0>", "nan", "1+1e-12"],
+    )
+    def test_probe_not_a_unit_vector_rejected(self, probes, says):
+        # the QFIM of 2|0> at (0.7, 0.3) was diag(4.0, 0.996), where |0> gives diag(1.0, 0.415)
+        with pytest.raises(ValueError, match="probe") as error:
+            loem_family(qubit_rotation, 2, probes)
+        assert says in str(error.value)
 
     def test_empty_batch_gives_empty_results(self):
         for family in (qubit_family(), antiparallel_family(2), loem_family(generator_rotation(3, 82), 2, np.eye(3))):
@@ -303,6 +306,48 @@ class TestRightFold:
         assert peak <= 1.7 * jac.nbytes
 
 
+def degenerate_rotation(d, seed):
+    """A generator family whose G_1 repeats an eigenvalue, so that H = x_1 G_1 is degenerate."""
+    gens = hermitian_pair(d, seed)
+    q, _ = np.linalg.qr(gens[1])
+    spectrum = np.linspace(-1.0, 1.0, d)
+    spectrum[1] = spectrum[0]
+    gens[0] = (q * spectrum) @ q.conj().T
+    return generator_unitary(gens)
+
+
+UNITARY_CASES = {
+    "qubit": (qubit_rotation, 2),
+    **{f"generator-d{d}": (generator_rotation(d, 90 + d), d) for d in range(2, 7)},
+    "generator-d4-degenerate": (degenerate_rotation(4, 97), 4),
+}
+
+
+class TestUnitaryArrays:
+    """A unitary family returns U (..., d, d) and dU (..., P, d, d) as arrays at the same points."""
+
+    @pytest.mark.parametrize("case", UNITARY_CASES.values(), ids=UNITARY_CASES.keys())
+    def test_du_is_the_derivative_array_of_the_jacobian(self, case):
+        unitary_family, d = case
+        family = loem_family(unitary_family, 2, np.eye(d))
+        rng = np.random.default_rng(98)
+        # x = 0 makes every eigenvalue of H equal; x_2 = 0 makes two equal for the degenerate G_1
+        points = (np.zeros(2), np.array([0.6, 0.0]), rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, (3, 4, 2)))
+        for x in points:
+            u, du = unitary_family(x)
+            assert type(du) is np.ndarray and du.shape == x.shape[:-1] + (2, d, d)
+            numeric = np.stack(
+                [loem.quantum.central_difference(lambda y: unitary_family(y)[0], x, i) for i in range(2)], axis=-3
+            )
+            assert np.max(np.abs(du - numeric)) <= 1e-7 * np.max(np.abs(du))
+            got, want = derivatives(family, x), left_fold_jacobian(unitary_family, np.eye(d), x)
+            if d <= 2:  # the two folds multiply and add the same numbers
+                assert same_bits(got, want)
+            else:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def counting(unitary_family):
     """The unitary family with a list that grows by one entry per call."""
     calls = []
@@ -335,7 +380,7 @@ class TestPointMemo:
         kept = x.copy()
         family.evaluate(x)
         x[1, 0] += 0.5
-        # qubit_rotation's deferred dU reads its points when called, so the family must own them
+        # the kept points are keyed by their values at the call, so the edited array is a call at new points
         assert same_bits(derivatives(family, kept), derivatives(fresh, kept))
         assert same_bits(derivatives(family, x), derivatives(fresh, x))
 
@@ -404,7 +449,7 @@ class TestDenseCap:
 
     @pytest.mark.parametrize("d, k", [(6, 6), (2, 15), (7, 5), (1, 1000)])
     def test_at_or_below_cap_accepted(self, d, k):
-        assert loem_family(qubit_rotation, 2, np.ones((k, d))).dim == d**k
+        assert loem_family(qubit_rotation, 2, np.ones((k, d)) / np.sqrt(d)).dim == d**k
 
     @pytest.mark.parametrize("d, k", [(6, 7), (2, 16), (7, 6), (2, 10**5)])
     def test_above_cap_rejected(self, d, k):
