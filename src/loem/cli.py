@@ -138,7 +138,7 @@ def _parser() -> _Parser:
     _add_n_option(p)
     _add_output_options(p)
 
-    p = sub.add_parser("qfim", help="numerical quantum Fisher information matrix")
+    p = sub.add_parser("qfim", help="quantum Fisher information matrix from the exact Jacobian")
     _add_angle_options(p)
     _add_n_option(p)
     p.add_argument("--family", choices=tuple(_FAMILIES), default="antiparallel")
@@ -148,7 +148,7 @@ def _parser() -> _Parser:
     p.add_argument("--family", choices=tuple(_FAMILIES), default="antiparallel")
     _add_angle_options(p)
     _add_n_option(p)
-    p.add_argument("--tol", type=_finite, default=1e-8, help="curvature tolerance")
+    p.add_argument("--tol", type=_finite, default=1e-8, help="tolerance per unit of max(1, max_i |d_i psi|^2)")
     _add_output_options(p)
 
     p = sub.add_parser("surface", help="four-port probability surfaces on an angle grid")
@@ -275,12 +275,15 @@ def _run_qfim(args) -> str:
 
 
 def _run_wcc(args) -> str:
-    curvature = uhlmann_curvature(*_state_and_jacobian(args))
+    state, jac = _state_and_jacobian(args)
+    curvature = uhlmann_curvature(state, jac)
     max_abs = float(np.max(np.abs(curvature)))
-    holds = wcc_holds(curvature, args.tol)
+    # --tol is per unit of max(1, max_i |d_i psi|^2), the scale of uhlmann_curvature's check: roundoff grows with it
+    tol = args.tol * max(1.0, float(np.max(np.sum(np.abs(jac) ** 2, axis=0))))
+    holds = wcc_holds(curvature, tol)
     return (
         f"max_abs_curvature = {max_abs:.6g}\n"
-        f"wcc_holds = {'true' if holds else 'false'} (tol = {args.tol:g})\n"
+        f"wcc_holds = {'true' if holds else 'false'} (tol = {tol:g})\n"
     )
 
 

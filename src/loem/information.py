@@ -1,18 +1,18 @@
 """Quantum and classical Fisher information for pure states.
 
 Provides the pure-state quantum Fisher information matrix (QFIM), the mean
-Uhlmann curvature (the weak commutativity diagnostic), the classical Fisher
-information matrix (FIM) of an outcome model, and uniform-prior QFIM averages.
+Uhlmann curvature (the weak commutativity diagnostic), the classical FIM of
+outcome probabilities and their exact Jacobian, and uniform-prior QFIM averages.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CurvatureConsistencyError, DivergentInformationError
-from .quantum import _CHUNK, StateFamily, _check_integer, central_difference, check_probabilities, derivatives
+from .quantum import _CHUNK, StateFamily, _check_integer, check_probabilities, derivatives
 
 __all__ = [
     "qfim_pure",
@@ -91,25 +91,25 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
 
 
 def wcc_holds(curv: np.ndarray, tol: float) -> bool:
-    """True iff every curvature entry is below tol in magnitude."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    """True iff every curvature entry is below tol, which must be positive and finite, in magnitude."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     curv = np.asarray(curv, dtype=float)
     return bool(np.max(np.abs(curv)) < tol) if curv.size else True
 
 
-def fim(model: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Classical FIM of an outcome model at x by central differences.
+def fim(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Classical FIM of outcome probabilities p (K,) from their exact Jacobian dp (K, P).
 
     F_ij = sum_k dP(k)/dx_i dP(k)/dx_j / P(k).  Outcomes with P < 1e-12 and
     a vanishing derivative are genuine 0/0 limits and are skipped; a vanishing
     probability with a non-vanishing derivative raises
     DivergentInformationError instead of silently producing a large entry.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p0 = check_probabilities(model(x))
-    m = x.shape[0]
-    dp = np.column_stack([central_difference(lambda y: check_probabilities(model(y)), x, i) for i in range(m)])
+    p0 = check_probabilities(p)
+    dp = np.asarray(dp, dtype=float)
+    if dp.ndim != 2 or len(dp) != len(p0) or not np.isfinite(dp).all():
+        raise ValueError(f"dp must be a finite ({len(p0)}, P) array, got shape {dp.shape}")
     kept = p0 >= _PROB_FLOOR
     slope = np.max(np.abs(dp), axis=1)
     for k in np.flatnonzero(~kept & (slope >= _DERIV_FLOOR))[:1]:

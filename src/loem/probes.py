@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .information import _check_pair
 from .quantum import StateFamily, UnitaryFamily, _check_integer, loem_family, qubit_rotation
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "identical_pair_family",
     "bell_like_basis",
     "born_probabilities",
+    "born_jacobian",
     "outcome_probabilities",
     "antiparallel_qfim_closed",
 ]
@@ -116,13 +118,20 @@ def bell_like_basis() -> np.ndarray:
 
 
 def born_probabilities(state: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Outcome probabilities |<k|psi>|^2 for a projective basis (rows = kets)."""
+    """Outcome probabilities |<k|psi>|^2 (..., K) of states (..., dim) for a projective basis (K, dim), rows = kets."""
     state = np.asarray(state, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[1] != state.shape[0]:
-        raise ValueError(f"basis shape {basis.shape} does not match state dimension {state.shape[0]}")
-    amplitudes = basis.conj() @ state
-    return np.abs(amplitudes) ** 2
+    if basis.ndim != 2 or state.ndim < 1 or basis.shape[1] != state.shape[-1]:
+        raise ValueError(f"basis shape {basis.shape} does not match state shape {state.shape}")
+    return np.abs(state @ basis.conj().T) ** 2
+
+
+def born_jacobian(state: np.ndarray, jac: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Born p (..., K) and dp_ki = 2 Re(conj(<k|psi>) <k|d_i psi>) (..., K, P) from Jacobians (..., dim, P), for fim."""
+    state, jac = _check_pair(state, jac)
+    p = born_probabilities(state, basis)
+    bras = np.asarray(basis, dtype=complex).conj()
+    return p, 2.0 * np.real((state @ bras.T).conj()[..., None] * (bras @ jac))
 
 
 def outcome_probabilities(theta: float, phi: float, n_iter: int = 1) -> np.ndarray:

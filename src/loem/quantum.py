@@ -2,8 +2,8 @@
 
 States are complex ndarrays (..., dim), unitaries (..., d, d); leading axes
 index a batch of points.  Unitary families give U and dU as arrays; state
-families bundle an evaluation map with an analytic or central-difference
-Jacobian, and every operation here is a pure function of its inputs.
+families bundle an evaluation map with its exact Jacobian, and every
+operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ __all__ = [
 # Points x (..., P) -> U(x) (..., d, d) and dU/dx_k stacked as (..., P, d, d).
 UnitaryFamily = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
-#: Central-difference step. Balances O(h^2) truncation against floating-point
-#: cancellation at double precision; validated against analytic qubit
-#: derivatives in the test suite.
-DEFAULT_STEP = 1e-5
 _UNITARY_ATOL = 1e-12
 _MAX_DENSE_DIM = 6**6  # amplitudes d**K of the largest product state loem_family builds
 _CHUNK = 2**14  # amplitudes per temporary of a Jacobian step or a batch of average_qfim states
@@ -123,40 +119,28 @@ def _add_outer(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 class StateFamily:
     """A parameterized family x -> |psi(x)> of normalized states.
 
-    Points (..., n_params) map to states (..., dim) and Jacobians (..., dim,
-    n_params); a 1-D point has no leading axes.  ``evaluate`` must be
+    Points (..., n_params) map to states (..., dim) and exact Jacobians (...,
+    dim, n_params); a 1-D point has no leading axes.  ``evaluate`` must be
     deterministic (no random global phase): imaginary parts of derivative
-    overlaps are only meaningful in a smooth gauge.  Without ``jacobian``,
-    derivatives are central differences with step DEFAULT_STEP.
+    overlaps are only meaningful in a smooth gauge.
     """
 
     dim: int
     n_params: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, i: int) -> np.ndarray:
-    """Central-difference derivative of f along parameter i at points x (..., P)."""
-    e = np.zeros_like(x)
-    e[..., i] = DEFAULT_STEP
-    return (f(x + e) - f(x - e)) / (2 * DEFAULT_STEP)
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
 
 def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
     """Jacobian of the family at points x (..., n_params), one column per parameter.
 
-    Returns a (..., dim, n_params) complex array whose column i approximates
-    d|psi>/dx_i in the family's fixed phase convention (no per-call phase
-    renormalization).
+    Returns a (..., dim, n_params) complex array whose column i is d|psi>/dx_i
+    in the family's fixed phase convention (no per-call phase renormalization).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != family.n_params:
         raise ValueError(f"expected {family.n_params} parameters, got shape {x.shape}")
-    if family.jacobian is not None:
-        jac = np.asarray(family.jacobian(x), dtype=complex)
-    else:
-        jac = np.stack([central_difference(family.evaluate, x, i) for i in range(family.n_params)], axis=-1)
+    jac = np.asarray(family.jacobian(x), dtype=complex)
     expected = x.shape[:-1] + (family.dim, family.n_params)
     if jac.shape != expected:
         raise ValueError(f"jacobian has shape {jac.shape}, expected {expected}")

@@ -9,6 +9,9 @@ Nothing in ``loem`` calls these; each is the reference of one library path:
 - ``sld_pure``: the dense d x d SLD matrix, the oracle of the value
   ``uhlmann_curvature`` takes from the scalars n, c_i and G_ij (its one
   route; its own check covers only the normalization and tangency).
+- ``central_difference``, ``numeric_jacobian`` and ``numeric_family``: a
+  derivative, a Jacobian and a family taken by central differences with step
+  STEP, the oracle of the exact Jacobians.
 - ``phase_shifted_family``: a family times a smooth global phase, to test
   gauge invariance through central differences.
 - ``left_fold_state`` and ``left_fold_jacobian``: the product state and its
@@ -19,6 +22,7 @@ Nothing in ``loem`` calls these; each is the reference of one library path:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -27,6 +31,32 @@ from loem import NOISE_MODELS, STATUS_BOUNDARY, STATUS_FAILED, STATUS_OK, StateF
 from loem.quantum import UnitaryFamily
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: Central-difference step. Balances O(h^2) truncation against floating-point
+#: cancellation at double precision.
+STEP = 1e-5
+
+
+def central_difference(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, i: int) -> np.ndarray:
+    """Central-difference derivative of f along parameter i at points x (..., P)."""
+    e = np.zeros_like(x)
+    e[..., i] = STEP
+    return (f(x + e) - f(x - e)) / (2 * STEP)
+
+
+def numeric_jacobian(
+    evaluate: Callable[[np.ndarray], np.ndarray], n_params: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Jacobian x (..., P) -> (..., dim, P) of evaluate by central differences, one column per parameter."""
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        return np.stack([central_difference(evaluate, x, i) for i in range(n_params)], axis=-1)
+
+    return jacobian
+
+
+def numeric_family(family: StateFamily) -> StateFamily:
+    """The family with its Jacobian taken by central differences of its evaluate."""
+    return dataclasses.replace(family, jacobian=numeric_jacobian(family.evaluate, family.n_params))
 
 
 def sample_counts(
@@ -147,7 +177,7 @@ def phase_shifted_family(family: StateFamily, alpha: Callable[[np.ndarray], np.n
     def evaluate(x: np.ndarray) -> np.ndarray:
         return np.exp(1j * alpha(x))[..., None] * family.evaluate(x)
 
-    return StateFamily(dim=family.dim, n_params=family.n_params, evaluate=evaluate)
+    return StateFamily(family.dim, family.n_params, evaluate, numeric_jacobian(evaluate, family.n_params))
 
 
 def _left_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -292,6 +292,15 @@ class TestSingleResultCommands:
         assert "wcc_holds = true" in out
         assert float(out.splitlines()[0].split("=")[1]) < 1e-8
 
+    def test_wcc_tolerance_is_per_unit_of_the_jacobian_scale(self, capsys):
+        # The antiparallel family has zero curvature. At N = 1e5 its roundoff, about 4e-8, is far
+        # below max_i |d_i psi|^2 = N^2 / 2 = 5e9, the scale --tol is judged in: 1e-8 of it is 50.
+        args = ["wcc", "--family", "antiparallel", "--n", "100000", "--theta-deg", "0.0005", "--phi-deg", "0.0003"]
+        assert main(args) == EXIT_OK
+        curvature, verdict = capsys.readouterr().out.splitlines()
+        assert verdict == "wcc_holds = true (tol = 50)"
+        assert 0.0 < float(curvature.removeprefix("max_abs_curvature = ")) < 1e-6
+
     def test_wcc_parallel_fails_condition(self, capsys):
         code = main(["wcc", "--family", "parallel", "--theta-deg", "50", "--phi-deg", "20"])
         assert code == EXIT_OK

@@ -1,10 +1,11 @@
 """Tests for Fisher information matrices, SLDs, curvature, and bounds."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import loem.information
 
@@ -15,20 +16,21 @@ from loem import (
     antiparallel_family,
     antiparallel_qfim_closed,
     average_qfim,
+    bell_like_basis,
+    born_jacobian,
     derivatives,
     fim,
     generator_unitary,
     identical_pair_family,
     loem_family,
     orthogonal_probes,
-    outcome_probabilities,
     qfim_pure,
     qubit_family,
+    qubit_rotation,
     uhlmann_curvature,
     wcc_holds,
 )
-from loem.quantum import central_difference
-from oracles import phase_shifted_family, sld_pure
+from oracles import central_difference, numeric_family, numeric_jacobian, phase_shifted_family, sld_pure
 
 
 def random_state(rng, dim):
@@ -66,13 +68,13 @@ class TestQfimPure:
 
     def test_constant_family_zero(self):
         psi = np.array([1.0, 0.0], dtype=complex)
-        family = StateFamily(dim=2, n_params=2, evaluate=lambda x: psi)
+        family = StateFamily(dim=2, n_params=2, evaluate=lambda x: psi, jacobian=numeric_jacobian(lambda x: psi, 2))
         q = qfim_pure(psi, derivatives(family, np.array([0.5, 0.5])))
         assert np.max(np.abs(q)) < 1e-12
 
     def test_gauge_invariance(self):
         family = qubit_family()
-        numeric = dataclasses.replace(family, jacobian=None)
+        numeric = numeric_family(family)
         shifted = phase_shifted_family(family, lambda x: x[0] + 2.0 * x[1])
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -97,9 +99,11 @@ class TestQfimPure:
 
             q_sum = np.zeros((2, 2))
             for k in range(d):
-                single = StateFamily(
-                    dim=d, n_params=2, evaluate=lambda y, k=k: unitary(y)[0] @ probes[k]
-                )
+
+                def evaluate(y, k=k):
+                    return unitary(y)[0] @ probes[k]
+
+                single = StateFamily(dim=d, n_params=2, evaluate=evaluate, jacobian=numeric_jacobian(evaluate, 2))
                 q_sum += qfim_pure(single.evaluate(x), derivatives(single, x))
             assert np.max(np.abs(q_product - q_sum)) < 1e-7
 
@@ -114,7 +118,7 @@ class TestQfimPure:
         # The same numbers with contiguous columns may be summed in another order:
         # each term of 4 (G_ij - c_i conj(c_j)) is then within the dot-product
         # bound dim * eps * max_i |d_i psi|^2 of the exact value, on either side.
-        family = dataclasses.replace(generator_family(d), jacobian=None)
+        family = numeric_family(generator_family(d))
         x = np.random.default_rng(67).uniform(0.2, 0.8, size=shape)
         state, jac = family.evaluate(x), derivatives(family, x)
         contiguous = np.ascontiguousarray(jac.swapaxes(-1, -2)).swapaxes(-1, -2)
@@ -244,14 +248,14 @@ class TestUhlmannCurvature:
     def test_single_copy_half_sine(self):
         # analytic oracle: Im<d_theta psi|d_phi psi> = sin(theta)/4
         family = qubit_family()
-        numeric = dataclasses.replace(family, jacobian=None)
+        numeric = numeric_family(family)
         x = np.array([np.pi / 2, 0.7])
         curv = uhlmann_curvature(family.evaluate(x), derivatives(numeric, x))
         assert abs(abs(curv[0, 1]) - 0.5) < 1e-6
 
     def test_identical_pair_full_sine(self):
         # finite-difference Jacobian of the 4-dim product state as oracle
-        family = dataclasses.replace(identical_pair_family(), jacobian=None)
+        family = numeric_family(identical_pair_family())
         x = np.array([np.pi / 2, 0.3])
         curv = uhlmann_curvature(family.evaluate(x), derivatives(family, x))
         assert abs(abs(curv[0, 1]) - 1.0) < 1e-6
@@ -301,7 +305,7 @@ class TestUhlmannCurvature:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             gens.append(g + g.conj().T)
         x = rng.uniform(0.2, 0.9, 2)
-        family = dataclasses.replace(loem_family(generator_unitary(gens), 2, orthogonal_probes(4)), jacobian=None)
+        family = numeric_family(loem_family(generator_unitary(gens), 2, orthogonal_probes(4)))
         curv = uhlmann_curvature(family.evaluate(x), derivatives(family, x))
         assert np.max(np.abs(curv)) < 1e-6
 
@@ -326,42 +330,54 @@ class TestWccHolds:
         with pytest.raises(ValueError):
             wcc_holds(np.zeros((2, 2)), 0.0)
 
+    def test_nonfinite_tol_rejected(self):
+        # a --tol scaled by a large Jacobian may overflow; inf would accept any curvature
+        for tol in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                wcc_holds(np.zeros((2, 2)), tol)
+
+
+def four_port_fim(x, n_iter=1):
+    """The exact classical FIM of the antiparallel family in the four-port basis at one point."""
+    family = antiparallel_family(n_iter)
+    return fim(*born_jacobian(family.evaluate(x), derivatives(family, x), bell_like_basis()))
+
 
 class TestFim:
     def test_four_port_matches_qfim_at_reference_point(self):
         # substitution: diag(2, 2 sin^2 70 deg) = diag(2, 1.7660444431189782)
-        x = np.array([np.radians(70.0), np.radians(36.0)])
-        f = fim(lambda y: outcome_probabilities(y[0], y[1], 1), x)
+        f = four_port_fim(np.array([np.radians(70.0), np.radians(36.0)]))
         assert np.allclose(f, np.diag([2.0, 1.7660444431189782]), atol=1e-6)
 
     def test_four_port_matches_qfim_n3(self):
-        x = np.array([0.3, 0.25])
-        f = fim(lambda y: outcome_probabilities(y[0], y[1], 3), x)
+        f = four_port_fim(np.array([0.3, 0.25]), 3)
         assert np.allclose(f, np.diag([18.0, 18.0 * np.sin(3 * 0.3) ** 2]), atol=1e-6)
 
     def test_constant_model_zero(self):
-        f = fim(lambda x: np.array([0.25, 0.25, 0.5]), np.array([0.3, 0.4]))
+        f = fim(np.array([0.25, 0.25, 0.5]), np.zeros((3, 2)))
         assert np.max(np.abs(f)) < 1e-12
 
     def test_divergent_outcome_raises(self):
-        def model(x):
-            p = max(float(x[0]) - 0.3, 0.0)
-            return np.array([p, 1.0 - p])
-
+        # P = max(x - 0.3, 0) at x = 0.3: the probability vanishes, its derivative does not
         with pytest.raises(DivergentInformationError):
-            fim(model, np.array([0.3]))
+            fim(np.array([0.0, 1.0]), np.array([[0.5], [-0.5]]))
 
     def test_true_zero_over_zero_outcome_skipped(self):
         # a port that is identically zero near x contributes nothing
-        def model(x):
-            return np.array([np.sin(x[0]) ** 2, np.cos(x[0]) ** 2, 0.0])
-
-        f = fim(model, np.array([0.8]))
+        x = 0.8
+        f = fim(np.array([np.sin(x) ** 2, np.cos(x) ** 2, 0.0]), np.array([[np.sin(2 * x)], [-np.sin(2 * x)], [0.0]]))
         assert np.isfinite(f[0, 0])
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
-            fim(lambda x: np.array([0.5, 0.4]), np.array([0.1]))
+            fim(np.array([0.5, 0.4]), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize(
+        "dp", [np.zeros((3, 1)), np.zeros(2), np.array([[np.nan], [0.0]]), np.array([[np.inf], [-np.inf]])]
+    )
+    def test_malformed_or_nonfinite_derivatives_rejected(self, dp):
+        with pytest.raises(ValueError, match=r"dp must be a finite \(2, P\) array"):
+            fim(np.array([0.5, 0.5]), dp)
 
     def test_matches_per_outcome_sum(self):
         # reference: the per-outcome loop fim replaced, skipping the port
@@ -379,7 +395,7 @@ class TestFim:
             for k in range(3):
                 ref += np.outer(dp[k], dp[k]) / p0[k]
             ref = 0.5 * (ref + ref.T)
-            assert np.max(np.abs(fim(model, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(fim(p0, dp) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_classical_bound_never_below_quantum(self):
         # equality case: eigenvalues of F^-1 - Q^-1 stay above -1e-8
@@ -387,10 +403,35 @@ class TestFim:
         for _ in range(10):
             theta = rng.uniform(0.2, 1.3)
             phi = rng.uniform(0.2, 1.3)
-            f = fim(lambda y: outcome_probabilities(y[0], y[1], 1), np.array([theta, phi]))
+            f = four_port_fim(np.array([theta, phi]))
             q = antiparallel_qfim_closed(theta, 1)
             gap = np.linalg.inv(f) - np.linalg.inv(q)
             assert np.min(np.linalg.eigvalsh(gap)) > -1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), x=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+    def test_cfi_equals_qfim_for_any_complete_qubit_probe_pair(self, seed, x):
+        # Probes V|0>, V|1> for a Haar-like random V: the four-port CFI is the QFIM, to roundoff
+        # in the terms dP^2 / P, unless an outcome's P is so small that the term is dropped or lost.
+        v = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2, 2)) @ [1, 1j])[0]
+        family = loem_family(qubit_rotation, 2, v.T)
+        x = np.array(x)
+        state, jac = family.evaluate(x), derivatives(family, x)
+        p, dp = born_jacobian(state, jac, bell_like_basis())
+        q = qfim_pure(state, jac)
+        assume(np.min(p) > 1e-6)
+        assert np.max(np.abs(fim(p, dp) - q)) <= 1e-12 * max(1.0, np.max(np.abs(q)))
+
+    def test_zero_outcome_point_is_below_the_qfim(self):
+        # At phi = 0, P3 and its derivative vanish together, so the outcome is skipped and
+        # the phase information it would carry is lost: CFI diag(2, 0), QFIM diag(2, 2 sin^2 0.7).
+        family = antiparallel_family(1)
+        x = np.array([0.7, 0.0])
+        state, jac = family.evaluate(x), derivatives(family, x)
+        p, dp = born_jacobian(state, jac, bell_like_basis())
+        assert p[2] == 0.0 and np.all(dp[2] == 0.0)
+        assert np.max(np.abs(fim(p, dp) - np.diag([2.0, 0.0]))) <= 1e-15
+        assert np.allclose(qfim_pure(state, jac), np.diag([2.0, 2.0 * np.sin(0.7) ** 2]), atol=1e-15)
 
 
 class TestAverageQfim:

@@ -1,7 +1,5 @@
 """Tests for probe-state construction, the four-port basis, and probabilities."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +9,7 @@ from loem import (
     antiparallel_family,
     antiparallel_qfim_closed,
     bell_like_basis,
+    born_jacobian,
     born_probabilities,
     derivatives,
     generator_unitary,
@@ -25,6 +24,7 @@ from loem import (
     uhlmann_curvature,
     wcc_holds,
 )
+from oracles import central_difference, numeric_family
 
 
 def random_generators(rng, d, m=2):
@@ -131,7 +131,7 @@ class TestExactJacobian:
         family = loem_family(generator_unitary(hermitian_pair(seed, d, degenerate)), 2, orthogonal_probes(d))
         x = np.array(x)
         state, jac = family.evaluate(x), derivatives(family, x)
-        numeric = derivatives(dataclasses.replace(family, jacobian=None), x)
+        numeric = derivatives(numeric_family(family), x)
         assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(jac))
         # normalization: Re<psi|d_i psi> = 0
         assert np.max(np.abs(np.real(jac.conj().T @ state))) <= 1e-13
@@ -233,6 +233,44 @@ class TestBornProbabilities:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             born_probabilities(np.array([1.0, 0.0]), bell_like_basis())
+        with pytest.raises(ValueError, match=r"does not match state shape \(4, 3\)"):
+            born_probabilities(np.ones((4, 3)), bell_like_basis())
+
+    @pytest.mark.parametrize("batch", [(4,), (3,), (2, 3)])
+    def test_batch_of_states_gives_a_batch_of_distributions(self, batch):
+        # states (..., dim) give probabilities (..., K), each row a call on its own state up to
+        # the roundoff of a batched product
+        x = np.random.default_rng(16).uniform(0.1, 1.4, size=batch + (2,))
+        states = antiparallel_family(1).evaluate(x)
+        probs = born_probabilities(states, bell_like_basis())
+        assert probs.shape == batch + (4,)
+        for index in np.ndindex(batch):
+            assert np.max(np.abs(probs[index] - born_probabilities(states[index], bell_like_basis()))) < 1e-15
+        assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-14
+        assert np.max(np.abs(probs - np.moveaxis(outcome_probabilities(x[..., 0], x[..., 1], 1), 0, -1))) < 1e-12
+
+
+class TestBornJacobian:
+    @pytest.mark.parametrize("n_iter", [1, 3])
+    def test_matches_central_differences_and_closed_form(self, n_iter):
+        family = antiparallel_family(n_iter)
+        basis = bell_like_basis()
+        x = np.random.default_rng(17).uniform(0.05, np.pi / (2 * n_iter) - 0.05, size=(5, 2))
+        p, dp = born_jacobian(family.evaluate(x), derivatives(family, x), basis)
+        assert p.shape == (5, 4) and dp.shape == (5, 4, 2)
+        assert np.array_equal(p, born_probabilities(family.evaluate(x), basis))
+
+        def closed(y):
+            return np.moveaxis(outcome_probabilities(y[..., 0], y[..., 1], n_iter), 0, -1)
+
+        numeric = np.stack([central_difference(closed, x, i) for i in range(2)], axis=-1)
+        assert np.max(np.abs(dp - numeric)) <= 1e-8 * np.max(np.abs(dp))
+
+    def test_jacobian_shape_must_match_the_state(self):
+        family = antiparallel_family(1)
+        x = np.array([[0.3, 0.4]])
+        with pytest.raises(ValueError, match="does not match state shape"):
+            born_jacobian(family.evaluate(x[0]), derivatives(family, x), bell_like_basis())
 
 
 class TestOutcomeProbabilities:
@@ -303,7 +341,7 @@ class TestAntiparallelQfimClosed:
             phi = rng.uniform(0.0, np.pi / (2 * n))
             if abs(np.sin(n * theta)) <= 0.05:
                 continue
-            family = dataclasses.replace(antiparallel_family(n), jacobian=None)
+            family = numeric_family(antiparallel_family(n))
             x = np.array([theta, phi])
             q_num = qfim_pure(family.evaluate(x), derivatives(family, x))
             q_closed = antiparallel_qfim_closed(theta, n)
@@ -315,7 +353,7 @@ class TestWccContrast:
         rng = np.random.default_rng(15)
         for n in (1, 3, 7):
             family = antiparallel_family(n)
-            numeric = dataclasses.replace(family, jacobian=None)
+            numeric = numeric_family(family)
             x = rng.uniform(0.05, np.pi / (2 * n) - 0.05, size=2)
             curv = uhlmann_curvature(family.evaluate(x), derivatives(numeric, x))
             assert wcc_holds(curv, 1e-8)

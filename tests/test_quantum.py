@@ -24,7 +24,7 @@ from loem import (
     qubit_unitary,
     tensor_product,
 )
-from oracles import left_fold_jacobian, left_fold_state
+from oracles import central_difference, left_fold_jacobian, left_fold_state, numeric_family, numeric_jacobian
 
 
 def brute_force_kron(a, b):
@@ -112,7 +112,7 @@ class TestDerivatives:
 
     def test_central_difference_matches_analytic(self):
         family = qubit_family()
-        numeric = dataclasses.replace(family, jacobian=None)
+        numeric = numeric_family(family)
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform(0.1, 3.0, size=2)
@@ -121,13 +121,13 @@ class TestDerivatives:
 
     def test_constant_family_zero(self):
         psi = np.array([1.0, 0.0], dtype=complex)
-        family = StateFamily(dim=2, n_params=2, evaluate=lambda x: psi)
+        family = StateFamily(dim=2, n_params=2, evaluate=lambda x: psi, jacobian=numeric_jacobian(lambda x: psi, 2))
         jac = derivatives(family, np.array([0.4, 0.9]))
         assert np.max(np.abs(jac)) < 1e-10
 
     def test_overlap_purely_imaginary(self):
         family = qubit_family()
-        numeric = dataclasses.replace(family, jacobian=None)
+        numeric = numeric_family(family)
         rng = np.random.default_rng(8)
         for _ in range(50):
             x = rng.uniform(0.1, 3.0, size=2)
@@ -137,7 +137,10 @@ class TestDerivatives:
 
     def test_nonfinite_raises(self):
         family = StateFamily(
-            dim=2, n_params=1, evaluate=lambda x: np.array([np.nan, 0.0], dtype=complex)
+            dim=2,
+            n_params=1,
+            evaluate=lambda x: np.array([1.0, 0.0], dtype=complex),
+            jacobian=lambda x: np.full((2, 1), np.nan, dtype=complex),
         )
         with pytest.raises(DerivativeError):
             derivatives(family, np.array([0.0]))
@@ -145,6 +148,14 @@ class TestDerivatives:
     def test_wrong_parameter_count_rejected(self):
         with pytest.raises(ValueError):
             derivatives(qubit_family(), np.array([0.1]))
+
+    def test_one_route_the_exact_jacobian(self):
+        # Central differences are a test oracle, not a library path: a family must bring its Jacobian.
+        assert not hasattr(loem.quantum, "central_difference") and not hasattr(loem.quantum, "DEFAULT_STEP")
+        jacobian = {field.name: field for field in dataclasses.fields(StateFamily)}["jacobian"]
+        assert jacobian.default is dataclasses.MISSING
+        with pytest.raises(TypeError):
+            StateFamily(dim=2, n_params=1, evaluate=lambda x: np.array([1.0, 0.0], dtype=complex))
 
 
 class TestValidators:
@@ -337,7 +348,7 @@ class TestUnitaryArrays:
             u, du = unitary_family(x)
             assert type(du) is np.ndarray and du.shape == x.shape[:-1] + (2, d, d)
             numeric = np.stack(
-                [loem.quantum.central_difference(lambda y: unitary_family(y)[0], x, i) for i in range(2)], axis=-3
+                [central_difference(lambda y: unitary_family(y)[0], x, i) for i in range(2)], axis=-3
             )
             assert np.max(np.abs(du - numeric)) <= 1e-7 * np.max(np.abs(du))
             got, want = derivatives(family, x), left_fold_jacobian(unitary_family, np.eye(d), x)
