@@ -175,7 +175,7 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("heisenberg", help="M x MSE scaling sweep over iteration counts")
     _add_angle_options(p)
-    p.add_argument("--n-max", type=_int_at_least(1), default=10, help="sweep N = 1..n-max")
+    p.add_argument("--n-max", type=int, default=10, help="sweep N = 1..n-max")
     _add_campaign_options(p)
     _add_output_options(p, table=True)
 
@@ -185,8 +185,8 @@ def _parser() -> _Parser:
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse a command line; the seed falls back to LOEM_SEED, then 0.
 
-    Raises UsageError on malformed input.  The ranges of angles, shots,
-    repeats, seeds and tolerances are checked by the library, whose
+    Raises UsageError on malformed input.  The ranges of angles, N, n_max,
+    shots, repeats, seeds and tolerances are checked by the library, whose
     ValueError main also maps to exit code 1.
     """
     args = _parser().parse_args(argv)
@@ -329,7 +329,7 @@ def _run_heisenberg(args) -> list[list[tuple]]:
     points = heisenberg_sweep(
         theta=math.radians(args.theta_deg),
         phi=math.radians(args.phi_deg),
-        n_list=range(1, args.n_max + 1),
+        n_max=args.n_max,
         shots=args.shots,
         repeats=args.repeats,
         seed=args.seed,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -310,54 +309,44 @@ def error_bars(config: TrialConfig, resamples: int = 100) -> tuple[float, float]
 def heisenberg_sweep(
     theta: float,
     phi: float,
-    n_list: Sequence[int],
+    n_max: int,
     shots: int,
     repeats: int,
     seed: int,
 ) -> list[SweepPoint]:
-    """One campaign per iteration count N, with QCRB and shot-noise references.
+    """One campaign per iteration count N = 1..n_max, with QCRB and shot-noise references.
 
-    ``n_list`` must be strictly ascending (a range: a positive step).  Before
-    any campaign runs, the first N whose TrialConfig is invalid, a fractional
-    N included, raises that config's ValueError.
+    Before any campaign runs, the first N whose TrialConfig is invalid raises
+    that config's ValueError; validity is monotone in N >= 1 (pi/(2N) falls
+    and 2 N^2 grows with N; each overflow starts at one N), so a check of
+    N = 1 and n_max, and a bisection only when n_max fails, find it at once.
 
     The shot-noise reference treats N iterations as N independent single-pass
     uses: M x MSE_SNL(theta) = 1/(2N), M x MSE_SNL(phi) = 1/(2N sin^2(N theta)).
     """
+    _check_integer("n_max", n_max, 1)
+    n_max = int(n_max)
 
-    def config(i: int) -> TrialConfig:
-        return TrialConfig(theta, phi, n_list[i], shots, repeats, seed)
+    def config(n: int) -> TrialConfig:
+        return TrialConfig(theta, phi, n, shots, repeats, seed)
 
-    def valid(i: int) -> bool:
+    def valid(n: int) -> bool:
         try:
-            config(i)
+            config(n)
         except ValueError:
             return False
         return True
 
-    # A range may be too long to walk, but validity is monotone in N >= 1
-    # (pi/(2N) falls and 2 N^2 grows with N; each overflow starts at one N), so a
-    # bisection finds its first failing N; index, not len, which overflows
-    # beyond sys.maxsize.  A sequence's configs are all built before it is compared.
-    if isinstance(n_list, range):
-        ascending = n_list.step > 0
-        if ascending and n_list:
-            config(0)
-            lo, hi = 0, n_list.index(n_list[-1])
-            if not valid(hi):
-                while hi - lo > 1:  # config(lo) is valid, config(hi) is not
-                    mid = (lo + hi) // 2
-                    lo, hi = (mid, hi) if valid(mid) else (lo, mid)
-                config(hi)
-    else:
-        for i in range(len(n_list)):
-            config(i)
-        ascending = all(a < b for a, b in zip(n_list, n_list[1:]))
-    if not ascending:
-        raise ValueError(f"n_list must be strictly ascending, got {n_list!r}")
+    config(1)
+    if not valid(n_max):
+        lo, hi = 1, n_max
+        while hi - lo > 1:  # config(lo) is valid, config(hi) is not
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if valid(mid) else (lo, mid)
+        config(hi)
     points = []
-    for n in n_list:
-        stats = run_trials(TrialConfig(theta, phi, n, shots, repeats, seed))
+    for n in range(1, n_max + 1):
+        stats = run_trials(config(n))
         sin_sq = float(np.sin(n * theta) ** 2)
         snl_phi = 1.0 / (2.0 * n * sin_sq)
         points.append(SweepPoint(n_iter=n, stats=stats, snl_theta=1.0 / (2.0 * n), snl_phi=snl_phi))

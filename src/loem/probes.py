@@ -78,7 +78,7 @@ def _angle_limit(n_iter: int) -> float:
     """pi/(2N), the bound of the identifiable box 0 <= theta, phi < pi/(2N)."""
     _check_integer("n_iter", n_iter, 1)
     try:
-        return np.pi / (2 * n_iter)
+        return np.pi / (2 * int(n_iter))  # 2 * a numpy integer wraps in its dtype
     except OverflowError:  # N is beyond the float range
         raise ValueError(f"pi/(2N) cannot be computed for N = {n_iter}") from None
 

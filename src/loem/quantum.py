@@ -18,7 +18,6 @@ from .errors import DerivativeError
 __all__ = [
     "check_unitary",
     "check_probabilities",
-    "qubit_unitary",
     "qubit_rotation",
     "tensor_product",
     "StateFamily",
@@ -68,30 +67,21 @@ def _check_integer(name: str, value, low: int, bits: int | None = None) -> None:
         raise ValueError(f"{name} must be in [{low}, {text}) and an integer, got {value!r}")
 
 
-def qubit_unitary(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
-    """Rotation taking |0> to cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
-
-    Angles are radians broadcasting to shape (...), giving (..., 2, 2); any
-    real value is accepted, periodicity is handled by the trigonometry.
-    """
-    c, s, phase = np.cos(0.5 * theta), np.sin(0.5 * theta), np.exp(1j * phi)
-    shape = np.broadcast_shapes(np.shape(c), np.shape(phase))
-    u = np.empty(shape + (2, 2), dtype=np.result_type(c, phase))
-    u[..., 0, 0] = c
-    u[..., 0, 1] = -s / phase
-    u[..., 1, 0] = s * phase
-    u[..., 1, 1] = c
-    return u
-
-
 def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qubit_unitary as a unitary family: points (..., 2) give U (..., 2, 2) and dU/dx_k (..., 2, 2, 2)."""
+    """Rotation taking |0> to cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, as a unitary family.
+
+    Points x = (theta, phi) in radians, shape (..., 2), any real values, give
+    U (..., 2, 2) and dU/dx_k (..., 2, 2, 2) as views of one array, filled
+    from one cos, sin and exp of the angles.
+    """
     c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
-    zero = np.zeros_like(phase)
-    d_theta = [-0.5 * s, -0.5 * c / phase, 0.5 * phase * c, -0.5 * s]
-    d_phi = [zero, 1j * s / phase, 1j * phase * s, zero]  # 1j * U * [[0, -1], [1, 0]], entrywise
-    du = np.stack(d_theta + d_phi, axis=-1).reshape(x.shape[:-1] + (2, 2, 2))
-    return qubit_unitary(x[..., 0], x[..., 1]), du
+    out = np.zeros(x.shape[:-1] + (3, 2, 2), dtype=np.result_type(c, phase))  # U, dU/dtheta, dU/dphi
+    out[..., 0, 0, 0] = out[..., 0, 1, 1] = c
+    out[..., 0, 0, 1], out[..., 0, 1, 0] = -s / phase, s * phase
+    out[..., 1, 0, 0] = out[..., 1, 1, 1] = -0.5 * s
+    out[..., 1, 0, 1], out[..., 1, 1, 0] = -0.5 * c / phase, 0.5 * phase * c
+    out[..., 2, 0, 1], out[..., 2, 1, 0] = 1j * s / phase, 1j * phase * s  # 1j * U * [[0, -1], [1, 0]], entrywise
+    return out[..., 0, :, :], out[..., 1:, :, :]
 
 
 def tensor_product(states: Sequence[np.ndarray]) -> np.ndarray:

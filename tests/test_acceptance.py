@@ -167,9 +167,7 @@ def test_criterion_4_fixed_phi_campaigns():
 
 def test_criterion_5_heisenberg_scaling():
     start = time.perf_counter()
-    points = heisenberg_sweep(
-        np.radians(8.5), np.radians(8.5), list(range(1, 11)), 10**4, 400, seed=SEED
-    )
+    points = heisenberg_sweep(np.radians(8.5), np.radians(8.5), 10, 10**4, 400, seed=SEED)
     m_mse_theta = np.array([p.stats.m_times_mse_theta for p in points])
     slope = float(np.polyfit(np.log(np.arange(1, 11)), np.log(m_mse_theta), 1)[0])
     ordering_ok = all(

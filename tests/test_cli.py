@@ -657,7 +657,7 @@ REJECTED_VALUES = [
     (["qfim", "--family", "single", "--theta-deg", "10", "--phi-deg", "10", "--n", "0"], ""),
     (["surface", "--n", "0"], ""),
     (["simulate", "--phi-deg", "36", "--n", "0"], ""),
-    (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", "0"], ""),
+    (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", "0"], "n_max must be in [1, inf)"),
     (["surface", "--resolution", "1"], ""),
     (["simulate", "--phi-deg", "36", "--resamples", "-1"], ""),
     (["simulate", "--phi-deg", "36", "--resamples", "1"], ""),

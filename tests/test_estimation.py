@@ -299,6 +299,9 @@ class TestTrialConfig:
             TrialConfig(theta_true=np.pi / 2, phi_true=0.1, n_iter=1, shots=10, repeats=2, seed=0)
         with pytest.raises(ValueError):  # pi/(2N) = 0.314 at N = 5
             TrialConfig(theta_true=0.2, phi_true=0.32, n_iter=5, shots=10, repeats=2, seed=0)
+        # pi/300 lies inside pi/144, the box a wrapped 2 * np.uint8(200) gave, but outside pi/400.
+        with pytest.raises(ValueError, match=r"violates 0 <= angle < pi/\(2N\) = 0\.00785"):
+            TrialConfig(np.pi / 300, 0.001, np.uint8(200), 100, 10, 0)
 
     def test_sampling_plan_validated(self):
         with pytest.raises(ValueError):
@@ -326,18 +329,25 @@ class TestTrialConfig:
         wide = TrialConfig(theta, phi, np.int64(1), shots=np.int32(100), repeats=np.uint16(10), seed=np.uint64(3))
         assert run_trials(wide) == run_trials(plain)
         assert error_bars(wide, np.int64(3)) == error_bars(plain, 3)
-        sweep = heisenberg_sweep(theta / 2, phi / 2, [1, 2], 100, 10, 3)
-        assert heisenberg_sweep(theta / 2, phi / 2, [np.int64(1), np.uint8(2)], 100, 10, np.uint64(3)) == sweep
-        x, counts = np.array([theta, phi]), campaign_counts(plain)
-        for result in (
+        sweep = heisenberg_sweep(theta / 2, phi / 2, 2, 100, 10, 3)
+        assert heisenberg_sweep(theta / 2, phi / 2, np.uint8(2), 100, 10, np.uint64(3)) == sweep
+        # Rows with n3 = 0 and n4 = 0 pin phi_hat to the box edge pi/(2N).
+        x, counts = np.array([theta, phi]), np.vstack([campaign_counts(plain), [[0, 100, 0, 0], [0, 0, 100, 0]]])
+        by_n = (
             lambda k: outcome_probabilities(theta, phi, k),
             lambda k: antiparallel_qfim_closed(theta, k),
             lambda k: np.array(mle_closed_form_batch(counts, k)),
             lambda k: antiparallel_family(k).evaluate(x),
+        )
+        for result in by_n + (
             lambda k: trial_rng(k, k, k).random(3),
             lambda k: average_qfim(qubit_family(), BOX, k, rng_seed=k),
         ):
             assert result(np.uint64(3)).tobytes() == result(3).tobytes()
+        # 2N in a numpy N's own dtype wrapped: to 144 for np.uint8(200), to -2**63 for np.int64(2**62).
+        for wide, n in ((np.uint8(200), 200), (np.int64(2**62), 2**62)):
+            for result in by_n:
+                assert result(wide).tobytes() == result(n).tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200], ids=["-1", "2**128", "2**200"])
     def test_seed_outside_philox_keys_rejected(self, seed):
@@ -362,7 +372,7 @@ INTEGER_ARGUMENTS = [
     pytest.param("n_iter", lambda v: antiparallel_family(v), id="antiparallel_family"),
     pytest.param("n_iter", lambda v: antiparallel_qfim_closed(0.3, v), id="antiparallel_qfim_closed"),
     pytest.param("n_iter", lambda v: mle_closed_form_batch(np.ones((2, 4)), v), id="mle_closed_form_batch"),
-    pytest.param("n_iter", lambda v: heisenberg_sweep(0.5, 0.5, [v], 1000, 10, 7), id="heisenberg_sweep"),
+    pytest.param("n_max", lambda v: heisenberg_sweep(0.5, 0.5, v, 1000, 10, 7), id="heisenberg_sweep"),
     pytest.param("seed", lambda v: trial_rng(v, 0), id="trial_rng-seed"),
     pytest.param("trial_index", lambda v: trial_rng(1, v), id="trial_rng-trial_index"),
     pytest.param("resample_index", lambda v: trial_rng(1, 0, v), id="trial_rng-resample_index"),
@@ -582,61 +592,49 @@ class TestErrorBars:
 
 class TestHeisenbergSweep:
     def test_scaling_slope(self):
-        points = heisenberg_sweep(
-            np.radians(8.5), np.radians(8.5), list(range(1, 11)), 10**4, 400, seed=2
-        )
+        points = heisenberg_sweep(np.radians(8.5), np.radians(8.5), 10, 10**4, 400, seed=2)
         m_mse = np.array([p.stats.m_times_mse_theta for p in points])
         slope = np.polyfit(np.log(np.arange(1, 11)), np.log(m_mse), 1)[0]
         assert abs(slope + 2.0) < 0.1
 
     def test_reference_rows(self):
-        points = heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1, 10], 10**4, 100, seed=2)
-        assert points[1].stats.qcrb_theta == pytest.approx(0.005, rel=1e-12)
+        points = heisenberg_sweep(np.radians(8.5), np.radians(8.5), 10, 10**4, 100, seed=2)
+        assert points[9].stats.qcrb_theta == pytest.approx(0.005, rel=1e-12)
         assert points[0].snl_theta == 0.5
-        assert points[1].snl_theta == 0.05
+        assert points[9].snl_theta == 0.05
 
     def test_n_one_row_matches_plain_campaign(self):
         config = TrialConfig(np.radians(8.5), np.radians(8.5), 1, 2000, 100, seed=11)
         direct = run_trials(config)
-        point = heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1], 2000, 100, seed=11)[0]
+        point = heisenberg_sweep(np.radians(8.5), np.radians(8.5), 1, 2000, 100, seed=11)[0]
         assert point.stats == direct
 
     def test_constraint_violation_names_n(self):
         with pytest.raises(ValueError, match="N = 11"):
-            heisenberg_sweep(np.radians(8.5), np.radians(8.5), list(range(1, 12)), 100, 10, seed=0)
-        with pytest.raises(ValueError, match="N = 11$"):  # the first failing N of a sweep with gaps
-            heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1, 4, 11, 30, 400], 100, 10, seed=0)
+            heisenberg_sweep(np.radians(8.5), np.radians(8.5), 11, 100, 10, seed=0)
+        with pytest.raises(ValueError, match="N = 11$"):  # the first failing N, found by bisection
+            heisenberg_sweep(np.radians(8.5), np.radians(8.5), 400, 100, 10, seed=0)
 
     def test_seed_outside_philox_keys_runs_no_campaign(self, monkeypatch):
         calls = []
         monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match=r"2\*\*128"):
-            heisenberg_sweep(np.radians(8.5), np.radians(8.5), [1, 2, 3], 100, 10, seed=2**128)
+            heisenberg_sweep(np.radians(8.5), np.radians(8.5), 3, 100, 10, seed=2**128)
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "angle, n_list, says",
-        [
-            (0.5, [1, 5, 2], "for N = 5$"),  # ran N = 1's campaign, then raised for N = 5
-            (0.5, [1, 5, 1], "for N = 5$"),  # N = 5 was never checked before the campaigns
-            (0.1, [2, 1], r"^n_list must be strictly ascending, got \[2, 1\]$"),
-            (0.1, [1, 1], "strictly ascending"),
-            (0.1, range(3, 0, -1), r"got range\(3, 0, -1\)$"),
-        ],
-        ids=["1-5-2", "1-5-1", "2-1", "1-1", "range-3-0--1"],
-    )
-    def test_unordered_n_list_runs_no_campaign(self, monkeypatch, angle, n_list, says):
-        calls = []
-        monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match=says):
-            heisenberg_sweep(angle, angle, n_list, 100, 10, seed=0)
-        assert calls == []
+    def test_numpy_n_max_sweeps_python_ints(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(loem.estimation, "run_trials", lambda config: configs.append(config))
+        # n_max + 1 in uint8 would wrap to 0 and leave the sweep empty.
+        points = heisenberg_sweep(0.001, 0.001, np.uint8(255), 100, 10, seed=0)
+        assert [config.n_iter for config in configs] == [point.n_iter for point in points] == list(range(1, 256))
+        assert all(type(point.n_iter) is int and type(config.n_iter) is int for point, config in zip(points, configs))
 
     def test_out_of_range_last_n_runs_no_campaign(self, monkeypatch):
         calls = []
         monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="N = 11"):
-            heisenberg_sweep(np.radians(8.5), np.radians(8.5), list(range(1, 12)), 100, 10, seed=0)
+            heisenberg_sweep(np.radians(8.5), np.radians(8.5), 11, 100, 10, seed=0)
         assert calls == []
 
     def test_overflowing_qcrb_runs_no_campaign(self, monkeypatch):
@@ -644,12 +642,11 @@ class TestHeisenbergSweep:
         # every N ran its campaign, with a QCRB of 0 or an OverflowError from N^2.
         calls = []
         monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match=rf"^2 N\^2 is not finite for N = {10**154}$"):
-            heisenberg_sweep(0.0, 0.0, [1, 10**154], 100, 10, seed=0)
-        with pytest.raises(ValueError, match=r"^2 N\^2 is not finite for N = \d+$") as raised:
-            heisenberg_sweep(0.0, 0.0, range(1, 10**200), 100, 10, seed=0)
+        for n_max in (10**154, 10**200):
+            with pytest.raises(ValueError, match=r"^2 N\^2 is not finite for N = \d+$") as raised:
+                heisenberg_sweep(0.0, 0.0, n_max, 100, 10, seed=0)
+            first = int(str(raised.value).rsplit(" ", 1)[1])  # the bisection's first failing N
+            assert np.isfinite(antiparallel_qfim_closed(0.0, first - 1)).all()
+            with pytest.raises(ValueError):
+                antiparallel_qfim_closed(0.0, first)
         assert calls == []
-        first = int(str(raised.value).rsplit(" ", 1)[1])  # the bisection's first failing N
-        assert np.isfinite(antiparallel_qfim_closed(0.0, first - 1)).all()
-        with pytest.raises(ValueError):
-            antiparallel_qfim_closed(0.0, first)

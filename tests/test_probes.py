@@ -20,7 +20,6 @@ from loem import (
     qfim_pure,
     qubit_family,
     qubit_rotation,
-    qubit_unitary,
     uhlmann_curvature,
     wcc_holds,
 )
@@ -65,7 +64,7 @@ class TestLoemState:
     def test_hand_multiplied_oracle(self):
         # U(pi/2, 0)|0> = (c, s), U(pi/2, 0)|1> = (-s, c) with c = s = 1/sqrt(2);
         # multiply the product out entry by entry
-        u = qubit_unitary(np.pi / 2, 0.0)
+        u = qubit_rotation(np.array([np.pi / 2, 0.0]))[0]
         first, second = u[:, 0], u[:, 1]
         expected = np.array(
             [first[0] * second[0], first[0] * second[1], first[1] * second[0], first[1] * second[1]]

@@ -21,7 +21,6 @@ from loem import (
     qfim_pure,
     qubit_family,
     qubit_rotation,
-    qubit_unitary,
     tensor_product,
 )
 from oracles import central_difference, left_fold_jacobian, left_fold_state, numeric_family, numeric_jacobian
@@ -38,17 +37,17 @@ def brute_force_kron(a, b):
 
 class TestQubitUnitary:
     def test_identity_at_zero_theta(self):
-        u = qubit_unitary(0.0, 1.234)
+        u = qubit_rotation(np.array([0.0, 1.234]))[0]
         assert np.allclose(u, np.eye(2), atol=1e-15)
 
     def test_theta_pi(self):
         # substitution: cos(pi/2) = 0, sin(pi/2) = 1, phi = 0
-        u = qubit_unitary(np.pi, 0.0)
+        u = qubit_rotation(np.array([np.pi, 0.0]))[0]
         assert np.allclose(u, [[0, -1], [1, 0]], atol=1e-12)
 
     def test_maps_zero_ket(self):
         # substitution: (cos(pi/4), e^{i pi/2} sin(pi/4)) = (1, i)/sqrt(2)
-        psi = qubit_unitary(np.pi / 2, np.pi / 2) @ np.array([1, 0])
+        psi = qubit_rotation(np.array([np.pi / 2, np.pi / 2]))[0] @ np.array([1, 0])
         assert np.allclose(psi, [1 / np.sqrt(2), 1j / np.sqrt(2)], atol=1e-12)
         assert abs(np.sum(np.abs(psi) ** 2) - 1) < 1e-12
 
@@ -58,14 +57,14 @@ class TestQubitUnitary:
         for _ in range(1000):
             theta = rng.uniform(-2 * np.pi, 2 * np.pi)
             phi = rng.uniform(-2 * np.pi, 2 * np.pi)
-            u = qubit_unitary(theta, phi)
+            u = qubit_rotation(np.array([theta, phi]))[0]
             worst = max(worst, np.max(np.abs(u.conj().T @ u - np.eye(2))))
         assert worst < 1e-12
 
     def test_angles_outside_principal_range_accepted(self):
         # no clamping; the matrix is 4*pi-periodic in theta (half-angle form)
-        assert np.allclose(qubit_unitary(0.3 + 4 * np.pi, 0.1), qubit_unitary(0.3, 0.1))
-        assert np.allclose(qubit_unitary(-0.3, 2 * np.pi + 0.1), qubit_unitary(-0.3, 0.1))
+        u = qubit_rotation(np.array([[0.3 + 4 * np.pi, 0.1], [0.3, 0.1], [-0.3, 2 * np.pi + 0.1], [-0.3, 0.1]]))[0]
+        assert np.allclose(u[0], u[1]) and np.allclose(u[2], u[3])
 
 
 class TestTensorProduct:
@@ -193,7 +192,7 @@ class TestLoemFamily:
         angles = [0.0, np.pi, -np.pi, -0.7, 2.3, 1e6]
         x = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(4, 9, 2)
         family = qubit_family()
-        assert np.array_equal(family.evaluate(x), qubit_unitary(x[..., 0], x[..., 1])[..., :, 0])
+        assert np.array_equal(family.evaluate(x), qubit_rotation(x)[0][..., :, 0])
         assert np.array_equal(derivatives(family, x), qubit_rotation(x)[1][..., :, 0].swapaxes(-1, -2))
 
     @pytest.mark.parametrize(
