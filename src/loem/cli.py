@@ -76,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite(text: str) -> float:
-    """A finite float; the library checks the range of an angle or tolerance."""
+    """A finite float; the library checks the range of an angle."""
     try:
         value = float(text)
     except ValueError:
@@ -148,7 +148,7 @@ def _parser() -> _Parser:
     p.add_argument("--family", choices=tuple(_FAMILIES), default="antiparallel")
     _add_angle_options(p)
     _add_n_option(p)
-    p.add_argument("--tol", type=_finite, default=1e-8, help="tolerance per unit of max(1, max_i |d_i psi|^2)")
+    p.add_argument("--tol", type=float, default=1e-8, help="tolerance per unit of max(1, max_i |d_i psi|^2)")
     _add_output_options(p)
 
     p = sub.add_parser("surface", help="four-port probability surfaces on an angle grid")

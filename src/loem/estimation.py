@@ -57,8 +57,8 @@ class TrialConfig:
     """One simulated campaign: true angles, iteration count, and sampling plan.
 
     Angles are radians and must satisfy 0 <= theta, phi < pi/(2N), the
-    identifiable range of the four-port outcome model; N must keep the
-    bounds' 2 N^2 finite.
+    identifiable range of the four-port outcome model; N is an integer in
+    [1, 2**53), the integers a float64 holds exactly.
     """
 
     theta_true: float
@@ -70,7 +70,7 @@ class TrialConfig:
     noise_model: str = "multinomial"
 
     def __post_init__(self):
-        _check_integer("n_iter", self.n_iter, 1)
+        _check_integer("n_iter", self.n_iter, 1, 53)
         _check_integer("shots", self.shots, 1, 63)
         _check_integer("repeats", self.repeats, 2, 63)
         _check_integer("seed", self.seed, 0, 128)  # a Philox key
@@ -83,7 +83,6 @@ class TrialConfig:
                 )
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
-        antiparallel_qfim_closed(self.theta_true, self.n_iter)  # the bounds need a finite 2 N^2
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ def mle_closed_form_batch(
     Boundary estimates carry the constrained-MLE values and remain usable.
     STATUS_OK otherwise.
     """
-    counts = np.asarray(counts, dtype=float)
+    counts = np.asarray(counts, dtype=float) + 0.0  # -0.0 becomes 0.0: n3/-0.0 is -inf, whose sqrt is NaN
     if counts.ndim != 2 or counts.shape[-1] != 4:
         raise ValueError("expected four per-port counts per row")
     # NaN fails both comparisons; initial keeps an empty array valid.
@@ -217,14 +216,11 @@ def mle_closed_form_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         s_hat = (2.0 * n2 + n34) / (2.0 * total)
         theta_hat = 2.0 * np.arcsin(np.sqrt(s_hat)) / n_iter
-        phi_hat = np.arctan(np.sqrt(n3 / n4)) / n_iter
+        phi_hat = np.arctan(np.sqrt(n3 / n4)) / n_iter  # exactly 0 at n3 = 0 and pi/(2N) at n4 = 0
     # theta_hat up to 1e-12 above the limit is round-trip dust from arcsin at
     # s_hat = 1/2: clipped, but not a boundary estimate.
-    no_n3, no_n4 = n3 == 0, n4 == 0
-    pinned = (theta_hat > limit + 1e-12) | no_n3 | no_n4
+    pinned = (theta_hat > limit + 1e-12) | (n3 == 0) | (n4 == 0)
     theta_hat = np.minimum(theta_hat, limit)
-    phi_hat[no_n3] = 0.0
-    phi_hat[no_n4] = limit
     failed = n34 == 0
     phi_hat[failed] = np.nan
     status = np.where(failed, STATUS_FAILED, np.where(pinned, STATUS_BOUNDARY, STATUS_OK))
@@ -317,9 +313,9 @@ def heisenberg_sweep(
     """One campaign per iteration count N = 1..n_max, with QCRB and shot-noise references.
 
     Before any campaign runs, the first N whose TrialConfig is invalid raises
-    that config's ValueError; validity is monotone in N >= 1 (pi/(2N) falls
-    and 2 N^2 grows with N; each overflow starts at one N), so a check of
-    N = 1 and n_max, and a bisection only when n_max fails, find it at once.
+    that config's ValueError; validity is monotone in N >= 1 (the box pi/(2N)
+    falls with N, and N stops at 2**53), so a check of N = 1 and n_max, and a
+    bisection only when n_max fails, find it at once.
 
     The shot-noise reference treats N iterations as N independent single-pass
     uses: M x MSE_SNL(theta) = 1/(2N), M x MSE_SNL(phi) = 1/(2N sin^2(N theta)).

@@ -27,7 +27,8 @@ _PROB_FLOOR = 1e-12
 # ...unless their derivative exceeds this, which makes the term divergent.
 _DERIV_FLOOR = 1e-9
 # Largest |<psi|psi> - 1| and |Re <d_i psi|psi>| that the curvature accepts, per
-# unit of the largest squared Jacobian column norm.
+# unit of the largest squared Jacobian column norm: the roundoff of an exact
+# Jacobian, and the error of the tests' central-difference oracles, grow with it.
 _CONSISTENCY_TOL = 1e-8
 
 
@@ -69,8 +70,8 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     L_i|psi> = 2(n|d_i psi> + c_i|psi>) gives U = -2n Im(n G - c c^H), made exactly
     antisymmetric: the imaginary part of the geometric tensor whose real part gives
     qfim_pure, with no state-sized vector.  |n - 1| or max_i |Re c_i| beyond
-    _CONSISTENCY_TOL times max(1, max_i G_ii) (the finite-difference noise grows with
-    the Jacobian) raises CurvatureConsistencyError; a non-finite tolerance or result
+    _CONSISTENCY_TOL times max(1, max_i G_ii) (roundoff grows with the Jacobian)
+    raises CurvatureConsistencyError; a non-finite tolerance or result
     raises DivergentInformationError, and a batch raises ValueError.
     """
     state, jac = _check_pair(state, jac)

@@ -74,6 +74,7 @@ def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U (..., 2, 2) and dU/dx_k (..., 2, 2, 2) as views of one array, filled
     from one cos, sin and exp of the angles.
     """
+    x = np.asarray(x)  # no dtype: a float32 batch keeps complex64 output
     c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
     out = np.zeros(x.shape[:-1] + (3, 2, 2), dtype=np.result_type(c, phase))  # U, dU/dtheta, dU/dphi
     out[..., 0, 0, 0] = out[..., 0, 1, 1] = c

@@ -636,7 +636,6 @@ def one_error_line(err: str) -> bool:
 # Integers too large for a float (and, above 2**63, for a C integer or a
 # range length).
 HUGE_N = str(10**400)
-OVERFLOWING_N = str(10**160)  # N * angle is finite, its squared derivative is not
 # 10^14 repeats need 2.84 PiB of counts, beyond any 48-bit address space, so
 # the allocation is refused without touching memory.
 HUGE_REPEATS = str(10**14)
@@ -665,21 +664,21 @@ REJECTED_VALUES = [
     (["simulate", "--phi-deg", "36", "--repeats", "1"], ""),
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "0"], ""),
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"], ""),
-    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "inf"], "--tol: must be finite"),
-    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "1e400"], "--tol: must be finite"),
+    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "inf"], "tol must be positive and finite"),
+    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "1e400"], "tol must be positive and finite"),
     (["probs", "--theta-deg", "1e300", "--phi-deg", "1", "--n", "1000000000000000"], ""),
     (["surface", "--n", HUGE_N], ""),
-    (["simulate", "--phi-deg", "36", "--n", HUGE_N], f"pi/(2N) cannot be computed for N = {HUGE_N}"),
+    (["simulate", "--phi-deg", "36", "--n", HUGE_N], "n_iter must be in [1, 2**53)"),
     (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--n-max", HUGE_N], "for N = 11"),
     (["simulate", "--phi-deg", "36", "--shots", "100000000000000000000"], "shots must be in"),
     (["simulate", "--theta-deg", "10", "--phi-deg", "36", "--repeats", HUGE_REPEATS, "--resamples", "0"], ""),
     (["heisenberg", "--theta-deg", "8.5", "--phi-deg", "8.5", "--repeats", HUGE_REPEATS], ""),
     (["simulate", "--phi-deg", "36", "--repeats", "100000000000000000000"], "repeats must be in"),
-    (["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", HUGE_N], "N * angle is not finite for N ="),
+    (["probs", "--theta-deg", "10", "--phi-deg", "10", "--n", HUGE_N], "n_iter must be in [1, 2**53)"),
     (["qfim", "--family", "parallel", "--theta-deg", "50", "--phi-deg", "20", "--n", "3"], "--n must be 1, got 3"),
     (["wcc", "--family", "single", "--theta-deg", "50", "--phi-deg", "20", "--n", "2"], "--n must be 1, got 2"),
-    (["qfim", "--theta-deg", "50", "--phi-deg", "20", "--n", "0"], "n_iter must be in [1, inf)"),
-    (["simulate", "--theta-deg", "5.7e-198", "--phi-deg", "5.7e-198", "--n", str(10**199)], "2 N^2 is not finite"),
+    (["qfim", "--theta-deg", "50", "--phi-deg", "20", "--n", "0"], "n_iter must be in [1, 2**53)"),
+    (["simulate", "--theta-deg", "5.7e-198", "--phi-deg", "5.7e-198", "--n", str(10**199)], "n_iter must be in [1, 2**53)"),
 ]
 
 
@@ -728,9 +727,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n_max", [10**300, 10**400], ids=["1e300", "1e400"])
     def test_huge_n_max_ends_at_once(self, capsys, n_max):
-        # theta = phi = 0 is valid for every N up to the float overflow of
-        # 2 N^2 near N = 9.5e153: the sweep exits 2 at its first campaign
-        # below that, and exits 1 naming the first overflowing N above it.
+        # theta = phi = 0 is valid for every N below 2**53, so the sweep
+        # exits 1 naming N = 2**53 before any campaign runs.
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -739,7 +737,9 @@ class TestExitCodes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code in (EXIT_USAGE, EXIT_NUMERICAL) and one_error_line(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and one_error_line(err)
+        assert f"n_iter must be in [1, 2**53) and an integer, got {2**53}" in err
         assert elapsed < 2.0 and peak < 5 * 2**20
 
     def test_few_shots_name_the_port_34_count(self, capsys):
@@ -759,14 +759,14 @@ class TestExitCodes:
         assert one_error_line(capsys.readouterr().err)
 
     def test_overflowing_qcrb_runs_no_campaign(self, monkeypatch, capsys):
-        # It printed qcrb_theta = qcrb_phi = 0.0 with exit 0: 2 N^2 overflowed to inf.
+        # It printed qcrb_theta = qcrb_phi = 0.0 with exit 0: 2 N^2 overflowed to inf. Now N stops at 2**53.
         calls = []
         monkeypatch.setattr(loem.cli, "run_trials", lambda *a, **k: calls.append(a))
         args = ["simulate", "--theta-deg", "4.01e-153", "--phi-deg", "2.5e-153", "--n", str(10**154)]
         assert main(args + ["--repeats", "10", "--resamples", "0"]) == EXIT_USAGE
         assert calls == []
         err = capsys.readouterr().err
-        assert one_error_line(err) and f"2 N^2 is not finite for N = {10**154}" in err
+        assert one_error_line(err) and f"n_iter must be in [1, 2**53) and an integer, got {10**154}" in err
 
     def test_single_resample_runs_no_campaign(self, monkeypatch, capsys):
         calls = []
@@ -865,10 +865,15 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["qfim", "wcc"])
-    def test_overflowing_information_exit_two(self, capsys, command):
-        assert main([command, "--theta-deg", "10", "--phi-deg", "10", "--n", OVERFLOWING_N]) == EXIT_NUMERICAL
+    def test_n_beyond_float_integers_exit_one(self, capsys, command):
+        # N = 10**160 overflowed the squared derivative: exit 2. Below 2**53 the QFIM is at most 2 N^2 < 2**107.
+        args = [command, "--theta-deg", "10", "--phi-deg", "10", "--n"]
+        assert main(args + [str(2**53 - 1)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out and "nan" not in out and "inf" not in out
+        assert main(args + [str(2**53)]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out == "" and one_error_line(captured.err)
+        assert captured.out == "" and one_error_line(captured.err) and "n_iter must be in [1, 2**53)" in captured.err
 
     def test_huge_integer_no_traceback(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(loem.cli.__file__)))

@@ -219,8 +219,8 @@ class TestMleClosedFormBatch:
 
 
 # One row per fixed point: counts, N, the expected theta_hat, phi_hat and
-# status, and the tolerance on both angles (0 asks for exact equality).
-# None leaves that angle unchecked.
+# status, and the tolerance on both angles (0 asks for the same float64 bytes,
+# so -0.0 fails against 0.0).  None leaves that angle unchecked.
 MLE_FIXED_POINTS = {
     "all_counts_in_port_one": ([1000, 0, 0, 0], 1, 0.0, None, STATUS_FAILED, 0.0),
     # stationary point of the multinomial log-likelihood; grid cross-check below
@@ -229,6 +229,13 @@ MLE_FIXED_POINTS = {
     "frozen_reference_counts": ([8100, 100, 900, 900], 1, 0.6435011087932844, np.pi / 4, STATUS_OK, 1e-12),
     "phi_pinned_low": ([800, 100, 0, 100], 1, None, 0.0, STATUS_BOUNDARY, 0.0),
     "phi_pinned_high": ([800, 100, 100, 0], 2, None, np.pi / 4, STATUS_BOUNDARY, 0.0),
+    "phi_pinned_low_n7": ([800, 100, 0, 100], 7, None, 0.0, STATUS_BOUNDARY, 0.0),
+    "phi_pinned_high_n7": ([800, 100, 100, 0], 7, None, np.pi / 14, STATUS_BOUNDARY, 0.0),
+    "phi_pinned_low_uint8": ([800, 100, 0, 100], np.uint8(200), None, 0.0, STATUS_BOUNDARY, 0.0),
+    "phi_pinned_high_uint8": ([800, 100, 100, 0], np.uint8(200), None, np.pi / 400, STATUS_BOUNDARY, 0.0),
+    # A -0.0 count is a zero count: n3/n4 would be -0.0, or -inf with a NaN square root.
+    "phi_pinned_low_negative_zero": ([800, 100, -0.0, 100], 7, None, 0.0, STATUS_BOUNDARY, 0.0),
+    "phi_pinned_high_negative_zero": ([800, 100, 100, -0.0], 7, None, np.pi / 14, STATUS_BOUNDARY, 0.0),
     # s_hat = (2 n2 + n34) / (2M) > 1/2 pins theta to pi/(2N)
     "theta_pinned_at_box_edge": ([0, 900, 50, 50], 1, np.pi / 2, None, STATUS_BOUNDARY, 0.0),
 }
@@ -242,7 +249,11 @@ class TestMleClosedForm:
         thetas, phis, status = mle_closed_form_batch(np.array([counts]), n_iter)
         assert status[0] == code
         for estimate, expected in ((thetas[0], theta), (phis[0], phi)):
-            if expected is not None:
+            if expected is None:
+                continue
+            if tol == 0.0:
+                assert np.float64(estimate).tobytes() == np.float64(expected).tobytes()
+            else:
                 assert abs(estimate - expected) <= tol
 
     def test_is_stationary_point_of_loglik(self):
@@ -344,8 +355,8 @@ class TestTrialConfig:
             lambda k: average_qfim(qubit_family(), BOX, k, rng_seed=k),
         ):
             assert result(np.uint64(3)).tobytes() == result(3).tobytes()
-        # 2N in a numpy N's own dtype wrapped: to 144 for np.uint8(200), to -2**63 for np.int64(2**62).
-        for wide, n in ((np.uint8(200), 200), (np.int64(2**62), 2**62)):
+        # 2N in a numpy N's own dtype wrapped: to 144 for np.uint8(200). 2**53 - 1 is the largest N.
+        for wide, n in ((np.uint8(200), 200), (np.int64(2**53 - 1), 2**53 - 1)):
             for result in by_n:
                 assert result(wide).tobytes() == result(n).tobytes()
 
@@ -360,7 +371,7 @@ class TestTrialConfig:
     def test_huge_n_named(self):
         # mle_closed_form_batch raised a bare OverflowError from pi/(2N)
         for call in (lambda n: TrialConfig(0.0, 0.0, n, 10, 10, 0), lambda n: mle_closed_form_batch(np.ones((2, 4)), n)):
-            with pytest.raises(ValueError, match=rf"^pi/\(2N\) cannot be computed for N = {10**400}$"):
+            with pytest.raises(ValueError, match=rf"^n_iter must be in \[1, 2\*\*53\) and an integer, got {10**400}$"):
                 call(10**400)
 
 
@@ -382,6 +393,12 @@ INTEGER_ARGUMENTS = [
 ]
 
 
+# Every call that takes N, which is float64 arithmetic wherever it is used.
+N_ITER_CALLS = [param for param in INTEGER_ARGUMENTS if param.values[0] == "n_iter"] + [
+    pytest.param("n_iter", lambda v: TrialConfig(0.0, 0.0, v, 10, 10, 0), id="TrialConfig"),
+]
+
+
 class TestIntegerArguments:
     @pytest.mark.parametrize("value", [1.5, "3"])
     @pytest.mark.parametrize("name, call", INTEGER_ARGUMENTS)
@@ -389,6 +406,14 @@ class TestIntegerArguments:
         # 1.5 was truncated to 1 (or compared as 1.5) and "3" raised numpy's or Python's TypeError.
         with pytest.raises(ValueError, match=rf"^{name} must be in \[\d+, .*\) and an integer, got {re.escape(repr(value))}$"):
             call(value)
+
+    @pytest.mark.parametrize("name, call", N_ITER_CALLS)
+    def test_n_iter_is_a_float64_integer(self, name, call):
+        # N = 2**53 + 1 was computed as its float neighbour 2**53, and so gave 2**53's results.
+        call(2**53 - 1)
+        for value in (2**53, np.uint64(2**53)):
+            with pytest.raises(ValueError, match=rf"^{name} must be in \[1, 2\*\*53\) and an integer, got {re.escape(repr(value))}$"):
+                call(value)
 
 
 class TestRunTrials:
@@ -638,14 +663,15 @@ class TestHeisenbergSweep:
         assert calls == []
 
     def test_overflowing_qcrb_runs_no_campaign(self, monkeypatch):
-        # theta = phi = 0 is in range up to N = 9e307, but 2 N^2 overflows beyond N = 9.5e153:
-        # every N ran its campaign, with a QCRB of 0 or an OverflowError from N^2.
+        # theta = phi = 0 is in range up to N = 9e307, but 2 N^2 overflowed beyond N = 9.5e153:
+        # every N ran its campaign, with a QCRB of 0 or an OverflowError from N^2. N now stops at 2**53.
         calls = []
         monkeypatch.setattr(loem.estimation, "run_trials", lambda *a, **k: calls.append(a))
         for n_max in (10**154, 10**200):
-            with pytest.raises(ValueError, match=r"^2 N\^2 is not finite for N = \d+$") as raised:
+            with pytest.raises(ValueError, match=r"^n_iter must be in \[1, 2\*\*53\) and an integer, got \d+$") as raised:
                 heisenberg_sweep(0.0, 0.0, n_max, 100, 10, seed=0)
             first = int(str(raised.value).rsplit(" ", 1)[1])  # the bisection's first failing N
+            assert first == 2**53
             assert np.isfinite(antiparallel_qfim_closed(0.0, first - 1)).all()
             with pytest.raises(ValueError):
                 antiparallel_qfim_closed(0.0, first)

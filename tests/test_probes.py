@@ -322,14 +322,10 @@ class TestAntiparallelQfimClosed:
         assert q[0, 0] == 18.0
         assert q[1, 1] == 0.0
 
-    @pytest.mark.parametrize(
-        "n_iter, says",
-        [(10**154, r"2 N\^2 is not finite"), (10**200, r"2 N\^2 is not finite"), (10**400, "N \\* angle is not finite")],
-        ids=["1e154", "1e200", "1e400"],
-    )
-    def test_overflowing_n_named(self, n_iter, says):
+    @pytest.mark.parametrize("n_iter", [10**154, 10**200, 10**400], ids=["1e154", "1e200", "1e400"])
+    def test_overflowing_n_named(self, n_iter):
         # 2 N^2 was inf (so the bound 1/(2 N^2) read 0), an OverflowError from N^2, or from float(N)
-        with pytest.raises(ValueError, match=rf"^{says} for N = {n_iter}$"):
+        with pytest.raises(ValueError, match=rf"^n_iter must be in \[1, 2\*\*53\) and an integer, got {n_iter}$"):
             antiparallel_qfim_closed(1e-300, n_iter)
 
     def test_matches_numerical_qfim(self):

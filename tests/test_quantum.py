@@ -66,6 +66,13 @@ class TestQubitUnitary:
         u = qubit_rotation(np.array([[0.3 + 4 * np.pi, 0.1], [0.3, 0.1], [-0.3, 2 * np.pi + 0.1], [-0.3, 0.1]]))[0]
         assert np.allclose(u[0], u[1]) and np.allclose(u[2], u[3])
 
+    def test_list_points_match_array(self):
+        # x[..., 0] on a list raised a bare TypeError
+        for points in ([0.1, 0.2], [[0.3, -1.0], [2.5, 0.7]]):
+            for listed, arrayed in zip(qubit_rotation(points), qubit_rotation(np.array(points))):
+                assert listed.dtype == arrayed.dtype and listed.tobytes() == arrayed.tobytes()
+        assert qubit_rotation(np.array([0.1, 0.2], dtype=np.float32))[0].dtype == np.complex64
+
 
 class TestTensorProduct:
     def test_basis_states(self):
