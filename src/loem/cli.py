@@ -202,22 +202,39 @@ _CHUNK = 4096  # rows formatted per write, which bounds the writer's memory
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
-def _cells(part, fmt: str) -> list[str]:
-    """Cell texts of one chunk of a column: repr, the shortest round trip.
+def _cells(parts: list, fmt: str, previous: tuple[np.ndarray, np.ndarray]) -> tuple[list[list[str]], tuple]:
+    """Cell texts of one chunk of a table's columns: repr, the shortest round trip.
 
     RFC 8259 JSON has no NaN or Infinity, so JSON writes null where CSV keeps
-    repr's "nan" and "inf".  A float ndarray is formatted once per distinct
-    bit pattern, which keeps -0.0 apart from 0.0.
+    repr's "nan" and "inf".  The float ndarray columns are formatted together,
+    once per distinct bit pattern (which keeps -0.0 apart from 0.0), and a
+    pattern found in ``previous``, the sorted bits and texts of the chunk
+    before, takes its text from there without a repr.  Returns the texts, a
+    list per column, and this chunk's own bits and texts for the next chunk.
     """
-    if isinstance(part, np.ndarray):
-        bits, inverse = np.unique(part.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64)
-        texts = np.array(list(map(repr, values.tolist())), dtype=object)
+    arrays = [part for part in parts if isinstance(part, np.ndarray)]
+    if arrays:
+        bits, inverse = np.unique(np.concatenate(arrays).view(np.int64), return_inverse=True)
+        texts = np.empty(len(bits), dtype=object)
+        new = np.ones(len(bits), dtype=bool)
+        old_bits, old_texts = previous
+        if len(old_bits):
+            at = np.searchsorted(old_bits, bits).clip(max=len(old_bits) - 1)
+            new = old_bits[at] != bits
+            texts[~new] = old_texts[at[~new]]
+        texts[new] = list(map(repr, bits[new].view(np.float64).tolist()))
         if fmt == "json":
-            texts[~np.isfinite(values)] = "null"
-        return texts[inverse].tolist()
-    text = list(map(repr, part))
-    return ["null" if t in _NON_FINITE else t for t in text] if fmt == "json" else text
+            texts[~np.isfinite(bits.view(np.float64))] = "null"
+        floats = iter(texts[inverse.reshape(len(arrays), -1)].tolist())
+        previous = bits, texts
+    cells = []
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            cells.append(next(floats))
+        else:
+            text = list(map(repr, part))
+            cells.append(["null" if t in _NON_FINITE else t for t in text] if fmt == "json" else text)
+    return cells, previous
 
 
 def _write_table(handle, columns: list[str], blocks, fmt: str):
@@ -227,7 +244,9 @@ def _write_table(handle, columns: list[str], blocks, fmt: str):
     ndarray or a sequence of Python ints and floats.  The text is what
     csv.writer, and json.dump with indent 2 and a final newline, write for
     the rows of every block in turn; it is built _CHUNK rows at a time, each
-    chunk one join of its cells and the fixed text around them.
+    chunk one join of its cells and the fixed text around them.  Each chunk's
+    float texts are kept for the next chunk, across blocks too, and nothing
+    older, so memory stays bounded by _CHUNK.
     """
     if fmt == "json":
         # Each row starts with the ",\n" between rows; the table's first row drops it.
@@ -242,9 +261,10 @@ def _write_table(handle, columns: list[str], blocks, fmt: str):
     row = [None] * stride  # fixed text at even places, a row's cells at odd ones
     row[::2] = fixed
     n_rows = 0
+    previous = np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
     for table in blocks:
         for start in range(0, len(table[0]), _CHUNK):
-            cells = [_cells(column[start : start + _CHUNK], fmt) for column in table]
+            cells, previous = _cells([column[start : start + _CHUNK] for column in table], fmt, previous)
             text = row * len(cells[0])
             for i, column in enumerate(cells):
                 text[2 * i + 1 :: stride] = column
@@ -279,11 +299,11 @@ def _run_wcc(args) -> str:
     curvature = uhlmann_curvature(state, jac)
     max_abs = float(np.max(np.abs(curvature)))
     # --tol is per unit of max(1, max_i |d_i psi|^2), the scale of uhlmann_curvature's check: roundoff grows with it
-    tol = args.tol * max(1.0, float(np.max(np.sum(np.abs(jac) ** 2, axis=0))))
-    holds = wcc_holds(curvature, tol)
+    scale = max(1.0, float(np.max(np.sum(np.abs(jac) ** 2, axis=0))))
+    holds = wcc_holds(curvature, args.tol, scale)
     return (
         f"max_abs_curvature = {max_abs:.6g}\n"
-        f"wcc_holds = {'true' if holds else 'false'} (tol = {tol:g})\n"
+        f"wcc_holds = {'true' if holds else 'false'} (tol = {args.tol * scale:g})\n"
     )
 
 

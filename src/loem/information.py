@@ -91,12 +91,22 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return curv
 
 
-def wcc_holds(curv: np.ndarray, tol: float) -> bool:
-    """True iff every curvature entry is below tol, which must be positive and finite, in magnitude."""
+def wcc_holds(curv: np.ndarray, tol: float, scale: float = 1.0) -> bool:
+    """True iff every curvature entry is below tol * scale in magnitude.
+
+    tol is per unit of scale, meant to be max(1, max_i |d_i psi|^2), the
+    scale of uhlmann_curvature's check, with which its roundoff grows.  tol,
+    scale and tol * scale must be positive and finite; a refusal names the tol
+    given.
+    """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    if not tol * scale < np.inf:
+        raise ValueError(f"tol = {tol!r} overflows per unit of the scale max(1, max_i |d_i psi|^2) = {scale!r}")
     curv = np.asarray(curv, dtype=float)
-    return bool(np.max(np.abs(curv)) < tol) if curv.size else True
+    return bool(np.max(np.abs(curv)) < tol * scale) if curv.size else True
 
 
 def fim(p: np.ndarray, dp: np.ndarray) -> np.ndarray:

@@ -603,12 +603,44 @@ class TestTableWriter:
             assert out.read_bytes() == reference_table(SURFACE_COLUMNS, rows, fmt).encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_memory_bounded_by_chunk(self, fmt):
+    @pytest.mark.parametrize("chunk", [4, _CHUNK])
+    def test_patterns_shared_across_columns_and_chunks(self, monkeypatch, fmt, chunk):
+        # -0.0 and 0.0 in one chunk, nan and inf in one row, each chunk's column a
+        # coming back in the next chunk's column b, and a ragged last chunk of 3 rows.
+        monkeypatch.setattr(loem.cli, "_CHUNK", chunk)
+        n_rows = 2 * chunk + 3
+        x = np.random.default_rng(30).random(n_rows + chunk)
+        a, b = x[chunk:].copy(), x[:n_rows].copy()
+        a[1], b[2], a[chunk + 1], b[chunk + 1] = -0.0, 0.0, 0.0, -0.0
+        a[3], b[3], a[chunk + 2], b[chunk] = math.nan, math.inf, -math.inf, math.nan
+        table = [a, list(range(n_rows)), b, a.tolist()]
+        rows = [list(row) for row in zip(a.tolist(), range(n_rows), b.tolist(), a.tolist())]
+        assert b[chunk + 2] == a[2] and b[2 * chunk] == a[chunk]
+        # Line lists, whose first difference pytest reports at once.
+        written = written_table(["a", "n", "b", "f"], table, fmt)
+        assert written.splitlines(True) == reference_table(["a", "n", "b", "f"], rows, fmt).splitlines(True)
+
+    def test_one_repr_per_pattern_not_in_the_chunk_before(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(loem.cli, "_CHUNK", 4)
+        monkeypatch.setattr(loem.cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        # The second chunk's patterns other than 5.0 are all in the first chunk, in either column.
+        table = [np.array([1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 1.0, 1.0])]
+        rows = [list(row) for row in zip(*(column.tolist() for column in table))]
+        assert written_table(["a", "b"], table, "csv") == reference_table(["a", "b"], rows, "csv")
+        assert calls == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "fmt, n_columns", [("csv", 1), ("json", 1), ("csv", 6), ("json", 6)], ids=["csv", "json", "csv-6", "json-6"]
+    )
+    def test_memory_bounded_by_chunk(self, fmt, n_columns):
+        # Six columns bound the joint sort's temporaries and the texts kept for the next chunk.
         def peak(n_rows: int) -> int:
-            table = [np.random.default_rng(0).random(n_rows)]  # distinct floats: no cell shared
+            rng = np.random.default_rng(0)
+            table = [rng.random(n_rows) for _ in range(n_columns)]  # distinct floats: no cell shared
             tracemalloc.start()
             try:
-                _write_table(Discard(), ["p"], [table], fmt)
+                _write_table(Discard(), [f"p{i}" for i in range(n_columns)], [table], fmt)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -666,6 +698,12 @@ REJECTED_VALUES = [
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "nan"], ""),
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "inf"], "tol must be positive and finite"),
     (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--tol", "1e400"], "tol must be positive and finite"),
+    # At N = 1e5 the scale max(1, max_i |d_i psi|^2) is 5e9: a refusal names the --tol given, not its scaled value.
+    (["wcc", "--theta-deg", "10", "--phi-deg", "10", "--n", "100000", "--tol=-1"], "got -1.0\n"),
+    (
+        ["wcc", "--theta-deg", "10", "--phi-deg", "10", "--n", "100000", "--tol", "1e300"],
+        "tol = 1e+300 overflows per unit of the scale max(1, max_i |d_i psi|^2) = 5000000000.000001",
+    ),
     (["probs", "--theta-deg", "1e300", "--phi-deg", "1", "--n", "1000000000000000"], ""),
     (["surface", "--n", HUGE_N], ""),
     (["simulate", "--phi-deg", "36", "--n", HUGE_N], "n_iter must be in [1, 2**53)"),

@@ -336,6 +336,20 @@ class TestWccHolds:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 wcc_holds(np.zeros((2, 2)), tol)
 
+    def test_tol_is_per_unit_of_the_scale(self):
+        curv = np.array([[0.0, 40.0], [-40.0, 0.0]])
+        assert not wcc_holds(curv, 1e-8)
+        assert wcc_holds(curv, 1e-8, 5e9)
+
+    def test_refusals_name_the_given_tol(self):
+        with pytest.raises(ValueError, match=r"got -1\.0$"):
+            wcc_holds(np.zeros((2, 2)), -1.0, 5e9)
+        with pytest.raises(ValueError, match=r"tol = 1e\+300 overflows .* max\(1, max_i \|d_i psi\|\^2\) = 5e\+300"):
+            wcc_holds(np.zeros((2, 2)), 1e300, 5e300)
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                wcc_holds(np.zeros((2, 2)), 1e-8, scale)
+
 
 def four_port_fim(x, n_iter=1):
     """The exact classical FIM of the antiparallel family in the four-port basis at one point."""
