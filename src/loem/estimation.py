@@ -199,7 +199,8 @@ def mle_closed_form_batch(
     zero-total rows Poisson noise can give); phi_hat is NaN, and theta_hat
     too when the total is zero.  STATUS_BOUNDARY: the constrained maximizer
     sits on an edge of [0, pi/(2N)]^2, with phi_hat pinned to 0 (n3 = 0) or
-    pi/(2N) (n4 = 0), or theta_hat pinned to pi/(2N) (s_hat > 1/2).
+    pi/(2N) (n4 = 0), or theta_hat pinned to pi/(2N) (s_hat > 1/2, a test
+    that is exact for integer counts whose total is below 2**52).
     Boundary estimates carry the constrained-MLE values and remain usable.
     STATUS_OK otherwise.
     """
@@ -217,9 +218,7 @@ def mle_closed_form_batch(
         s_hat = (2.0 * n2 + n34) / (2.0 * total)
         theta_hat = 2.0 * np.arcsin(np.sqrt(s_hat)) / n_iter
         phi_hat = np.arctan(np.sqrt(n3 / n4)) / n_iter  # exactly 0 at n3 = 0 and pi/(2N) at n4 = 0
-    # theta_hat up to 1e-12 above the limit is round-trip dust from arcsin at
-    # s_hat = 1/2: clipped, but not a boundary estimate.
-    pinned = (theta_hat > limit + 1e-12) | (n3 == 0) | (n4 == 0)
+    pinned = (s_hat > 0.5) | (n3 == 0) | (n4 == 0)
     theta_hat = np.minimum(theta_hat, limit)
     failed = n34 == 0
     phi_hat[failed] = np.nan

@@ -22,10 +22,6 @@ __all__ = [
     "average_qfim",
 ]
 
-# Outcomes below this probability are candidate 0/0 limits of the FIM sum.
-_PROB_FLOOR = 1e-12
-# ...unless their derivative exceeds this, which makes the term divergent.
-_DERIV_FLOOR = 1e-9
 # Largest |<psi|psi> - 1| and |Re <d_i psi|psi>| that the curvature accepts, per
 # unit of the largest squared Jacobian column norm: the roundoff of an exact
 # Jacobian, and the error of the tests' central-difference oracles, grow with it.
@@ -109,26 +105,30 @@ def wcc_holds(curv: np.ndarray, tol: float, scale: float = 1.0) -> bool:
     return bool(np.max(np.abs(curv)) < tol * scale) if curv.size else True
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the result is checked instead
 def fim(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     """Classical FIM of outcome probabilities p (K,) from their exact Jacobian dp (K, P).
 
-    F_ij = sum_k dP(k)/dx_i dP(k)/dx_j / P(k).  Outcomes with P < 1e-12 and
-    a vanishing derivative are genuine 0/0 limits and are skipped; a vanishing
-    probability with a non-vanishing derivative raises
-    DivergentInformationError instead of silently producing a large entry.
+    F_ij = sum_k dP(k)/dx_i dP(k)/dx_j / P(k) over every outcome with P > 0.
+    An outcome with P = 0 is skipped as a 0/0 limit when its dP^2 is zero too,
+    underflow included (a term whose P and dP^2 both underflow is lost with
+    them); a non-zero dP^2 there, or a sum that is not finite, raises
+    DivergentInformationError.
     """
     p0 = check_probabilities(p)
     dp = np.asarray(dp, dtype=float)
     if dp.ndim != 2 or len(dp) != len(p0) or not np.isfinite(dp).all():
         raise ValueError(f"dp must be a finite ({len(p0)}, P) array, got shape {dp.shape}")
-    kept = p0 >= _PROB_FLOOR
-    slope = np.max(np.abs(dp), axis=1)
-    for k in np.flatnonzero(~kept & (slope >= _DERIV_FLOOR))[:1]:
+    kept = p0 > 0.0
+    for k in np.flatnonzero(~kept & (dp * dp).any(axis=1))[:1]:
         raise DivergentInformationError(
-            f"outcome {k}: P = {p0[k]:.3e} but |dP| = {slope[k]:.3e}; Fisher information diverges at this point"
+            f"outcome {k}: P = 0 but |dP| = {np.max(np.abs(dp[k])):.3e}; Fisher information diverges at this point"
         )
     f = (dp[kept].T / p0[kept]) @ dp[kept]
-    return 0.5 * (f + f.T)
+    f = 0.5 * (f + f.T)
+    if not np.isfinite(f).all():
+        raise DivergentInformationError("Fisher information overflows: an outcome's dP^2 / P is too large")
+    return f
 
 
 def average_qfim(

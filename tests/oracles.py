@@ -150,11 +150,12 @@ def mle_grid(counts: np.ndarray, n_iter: int = 1, resolution: int = 512) -> tupl
     )
 
     # Status conventions mirror the closed form: they are properties of the
-    # count pattern, not of the maximizer used.
+    # count pattern, not of the maximizer used.  s_hat > 1/2 is exact for
+    # integer counts with a total below 2**52.
     s_hat = (2.0 * n2 + n34) / (2.0 * counts.sum())
     if n34 == 0:
         return float(theta_hat), float("nan"), STATUS_FAILED
-    status = STATUS_BOUNDARY if (n3 == 0 or n4 == 0 or s_hat > 0.5 + 1e-12) else STATUS_OK
+    status = STATUS_BOUNDARY if (n3 == 0 or n4 == 0 or s_hat > 0.5) else STATUS_OK
     return float(theta_hat), float(phi_hat), status
 
 

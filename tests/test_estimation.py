@@ -183,6 +183,8 @@ class TestMleClosedFormBatch:
         [800, 100, 100, 0],  # n4 = 0: phi pinned to pi/(2N)
         [500, 20, 0, 0],  # n34 = 0: phi unidentifiable
         [0, 900, 50, 50],  # s_hat > 1/2: theta pinned to pi/(2N)
+        [499999999998, 499999999999, 2, 1],  # s_hat = 1/2 + 1/(2M) at M = 1e12 and 1e13: pinned too,
+        [4999999999998, 4999999999999, 2, 1],  # though theta_hat passes pi/(2N) by only about 1/(N M)
         [0, 0, 3, 0],
         [1, 0, 0, 0],
     ]
@@ -238,6 +240,9 @@ MLE_FIXED_POINTS = {
     "phi_pinned_high_negative_zero": ([800, 100, 100, -0.0], 7, None, np.pi / 14, STATUS_BOUNDARY, 0.0),
     # s_hat = (2 n2 + n34) / (2M) > 1/2 pins theta to pi/(2N)
     "theta_pinned_at_box_edge": ([0, 900, 50, 50], 1, np.pi / 2, None, STATUS_BOUNDARY, 0.0),
+    # s_hat = 1/2 + 1/(2M) with M = 1e12 and 1e13, n2 = (M - 2) // 2: theta_hat is about 1/M past the edge
+    "theta_pinned_m_1e12": ([499999999998, 499999999999, 2, 1], 1, np.pi / 2, None, STATUS_BOUNDARY, 0.0),
+    "theta_pinned_m_1e13": ([4999999999998, 4999999999999, 2, 1], 1, np.pi / 2, None, STATUS_BOUNDARY, 0.0),
 }
 
 

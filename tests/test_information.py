@@ -426,14 +426,14 @@ class TestFim:
     @given(seed=st.integers(0, 2**32 - 1), x=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
     def test_cfi_equals_qfim_for_any_complete_qubit_probe_pair(self, seed, x):
         # Probes V|0>, V|1> for a Haar-like random V: the four-port CFI is the QFIM, to roundoff
-        # in the terms dP^2 / P, unless an outcome's P is so small that the term is dropped or lost.
+        # in the terms dP^2 / P, wherever no outcome's P is exactly zero.
         v = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2, 2)) @ [1, 1j])[0]
         family = loem_family(qubit_rotation, 2, v.T)
         x = np.array(x)
         state, jac = family.evaluate(x), derivatives(family, x)
         p, dp = born_jacobian(state, jac, bell_like_basis())
         q = qfim_pure(state, jac)
-        assume(np.min(p) > 1e-6)
+        assume(np.min(p) > 0.0)
         assert np.max(np.abs(fim(p, dp) - q)) <= 1e-12 * max(1.0, np.max(np.abs(q)))
 
     def test_zero_outcome_point_is_below_the_qfim(self):
@@ -446,6 +446,75 @@ class TestFim:
         assert p[2] == 0.0 and np.all(dp[2] == 0.0)
         assert np.max(np.abs(fim(p, dp) - np.diag([2.0, 0.0]))) <= 1e-15
         assert np.allclose(qfim_pure(state, jac), np.diag([2.0, 2.0 * np.sin(0.7) ** 2]), atol=1e-15)
+
+    @staticmethod
+    def edge_points():
+        """(N, x) with theta, phi or pi/(2N) - phi at 1e-1, 1e-3, ..., 1e-149 rad, the other angle random."""
+        rng = np.random.default_rng(0)
+        for n_iter in (1, 2, 3, 5, 10):
+            limit = np.pi / (2 * n_iter)
+            for edge in ("theta", "phi", "far phi"):
+                for eps in 10.0 ** -np.arange(1, 150, 2):
+                    other = rng.uniform(0.1, 0.9) * limit
+                    x = {"theta": (eps, other), "phi": (other, eps), "far phi": (other, limit - eps)}[edge]
+                    if x[1] < limit:  # pi/(2N) - 1e-17 rounds to pi/(2N), where P4 = 0 exactly
+                        yield n_iter, np.array(x)
+
+    def test_four_port_cfi_equals_qfim_at_the_box_edges(self):
+        # Near a zero of a port amplitude P and dP^2 vanish together while dP^2 / P does not;
+        # 790 points, to 1e-149 rad from an edge, each judged against the closed-form QFIM.
+        points = list(self.edge_points())
+        assert len(points) == 790
+        for n_iter, x in points:
+            q = antiparallel_qfim_closed(x[0], n_iter)
+            assert np.max(np.abs(four_port_fim(x, n_iter) - q)) <= 1e-12 * np.max(np.abs(q)), (n_iter, x)
+
+    @pytest.mark.parametrize(
+        "n_iter, x",
+        [
+            (1, (0.7, 1e-8)),  # P3 = 2.1e-17, |dP3| = 4.2e-9: port 3 carries all of F_phi_phi
+            (1, (0.7, 1e-9)),  # P3 = 2.1e-19, |dP3| = 4.2e-10: the same
+            (1, (0.7, np.pi / 2 - 1e-9)),  # the same at the far phi edge, through port 4
+            (1, (1e-3, 1.304)),  # P2 = 6.3e-14 carries 1e-6 of F_theta_theta
+            (3, (0.3, 5e-8)),  # P3 = 6.9e-15, |dP3| = 2.8e-7: port 3 carries all of F_phi_phi
+            (1, (1e-7, 0.3)),  # P3 = 4.4e-16 and P4 = 4.6e-15 carry all of F_theta_theta
+            (2, (2.97e-4, 0.0329)),  # P2 = 7.8e-15 carries 1.4e-6 of F_theta_theta
+        ],
+    )
+    def test_four_port_cfi_equals_qfim_near_a_zero_amplitude(self, n_iter, x):
+        # Each point has an outcome with P < 1e-12 whose term dP^2 / P is not negligible.
+        q = antiparallel_qfim_closed(x[0], n_iter)
+        assert np.max(np.abs(four_port_fim(np.array(x), n_iter) - q)) <= 1e-12 * np.max(np.abs(q))
+
+    def test_bit_identical_to_the_full_sum_where_no_outcome_is_small(self):
+        # where every P >= 1e-12 no outcome is skipped, and fim is the plain sum of dP^2 / P
+        rng = np.random.default_rng(31)
+        cases = []
+        for _ in range(200):
+            p = rng.dirichlet(np.ones(rng.integers(2, 7)))
+            dp = rng.normal(size=(len(p), rng.integers(1, 4)))
+            cases.append((p, dp))
+        for n_iter in (1, 2, 3):
+            family = antiparallel_family(n_iter)
+            for x in rng.uniform(0.05, 0.95, size=(100, 2)) * np.pi / (2 * n_iter):
+                cases.append(born_jacobian(family.evaluate(x), derivatives(family, x), bell_like_basis()))
+        for p, dp in cases:
+            assert np.min(p) >= 1e-12
+            f = (dp.T / p) @ dp
+            assert fim(p, dp).tobytes() == (0.5 * (f + f.T)).tobytes()
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-310])
+    def test_subnormal_probability_with_moderate_slope_raises(self, tiny):
+        # dP^2 / P overflows: a divergence, never an inf or NaN entry (and no warning)
+        p = np.array([tiny, 0.5, 0.5])
+        dp = np.array([[0.25, 0.0], [-0.25, 1.0], [0.0, -1.0]])
+        with pytest.raises(DivergentInformationError, match="overflows"):
+            fim(p, dp)
+
+    def test_underflowing_slope_at_zero_probability_skipped(self):
+        # P = 0 with dP = 1e-170, whose square underflows to 0: a 0/0 limit
+        f = fim(np.array([0.5, 0.5, 0.0]), np.array([[1.0], [-1.0], [1e-170]]))
+        assert f.tobytes() == fim(np.array([0.5, 0.5]), np.array([[1.0], [-1.0]])).tobytes()
 
 
 class TestAverageQfim:
