@@ -75,8 +75,8 @@ def uhlmann_curvature(state: np.ndarray, jac: np.ndarray) -> np.ndarray:
         raise ValueError(f"uhlmann_curvature takes one state, got shape {state.shape}")
     gram, overlap = _gram_overlaps(state, jac)
     norm = np.vecdot(state, state).real
-    drift = np.max(np.abs(overlap.real), initial=0.0)  # zero for a Jacobian tangent to the sphere
-    tol = _CONSISTENCY_TOL * max(1.0, np.max(gram.diagonal().real, initial=0.0))
+    drift = np.abs(overlap.real).max(initial=0.0)  # zero for a Jacobian tangent to the sphere
+    tol = _CONSISTENCY_TOL * max(1.0, gram.diagonal().real.max(initial=0.0))
     for name, value in (("|<psi|psi> - 1|", abs(norm - 1.0)), ("max_i |Re <d_i psi|psi>|", drift)):
         if value > tol:
             raise CurvatureConsistencyError(f"{name} = {float(value)!r} exceeds {tol:g}: state and Jacobian disagree")

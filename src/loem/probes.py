@@ -31,11 +31,11 @@ __all__ = [
 
 def orthogonal_probes(d: int) -> np.ndarray:
     """The computational basis of C^d as rows of a (d, d) array."""
-    if d < 2:
-        raise ValueError(f"probe dimension must be >= 2, got {d}")
+    _check_integer("d", d, 2)
     return np.eye(d, dtype=complex)
 
 
+@np.errstate(invalid="ignore")  # an inf entry gives NaN in g - g†, which fails the check instead
 def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
     """Unitary family U(x) = exp(-i sum_k x_k G_k) for generators G_k Hermitian to 1e-12 max|G_k|.
 
@@ -46,7 +46,7 @@ def generator_unitary(generators: Sequence[np.ndarray]) -> UnitaryFamily:
     if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
         raise ValueError("generators must be a sequence of square matrices")
     for k, g in enumerate(gens):
-        if not np.max(np.abs(g - g.conj().T)) <= 1e-12 * np.max(np.abs(g)):
+        if not np.abs(g - g.conj().T).max() <= 1e-12 * np.abs(g).max():
             raise ValueError(f"generator {k} is not Hermitian")
 
     def unitary(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("unitary must be a square matrix")
-    defect = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])), initial=0.0)  # an empty stack passes
+    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(initial=0.0)  # an empty stack passes
     if not defect <= _UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
     return u
@@ -91,13 +91,21 @@ def tensor_product(states: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("tensor_product requires at least one state")
     out = np.asarray(states[-1], dtype=complex)
     for state in states[-2::-1]:
-        out = np.asarray(state, dtype=complex)[..., :, None] * out[..., None, :]  # the long axis inside
-        out = out.reshape(out.shape[:-2] + (out.shape[-2] * out.shape[-1],))  # not -1: a batch may be empty
+        out = _kron(np.asarray(state, dtype=complex), out)
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for complex states (..., m) and (..., n), a most significant, as (..., m n)."""
+    out = a[..., :, None] * b[..., None, :]  # the long axis inside
+    return out.reshape(out.shape[:-2] + (out.shape[-2] * out.shape[-1],))  # not -1: a batch may be empty
+
+
 def _add_outer(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """out += a[..., None] * b[..., None, None, :] for a contiguous out (..., P, d, n), in _CHUNK-amplitude slices."""
+    """out += a[..., None] * b[..., None, None, :] for a contiguous out (..., P, d, n), in _CHUNK slices if larger."""
+    if out.size <= _CHUNK:
+        out += a[..., None] * b[..., None, None, :]
+        return
     m, n = a.shape[-2] * a.shape[-1], b.shape[-1]
     out, a, b = out.reshape(-1, m, n), a.reshape(-1, m), b.reshape(-1, n)
     batch, rows = max(1, _CHUNK // (m * n)), max(1, _CHUNK // n)  # n = d**(K-1) <= _CHUNK
@@ -175,14 +183,14 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
         factors = [u @ probe for probe in probes]
         suffixes = factors[1:]
         for i in range(k - 3, -1, -1):
-            suffixes[i] = tensor_product([suffixes[i], suffixes[i + 1]])
+            suffixes[i] = _kron(suffixes[i], suffixes[i + 1])
         value = (du, factors, suffixes)
         last = (key, value)
         return value
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         _, factors, suffixes = point(x)
-        return tensor_product([factors[0], suffixes[0]]) if suffixes else factors[0].copy()
+        return _kron(factors[0], suffixes[0]) if suffixes else factors[0].copy()
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # From the last factor: d(a (x) s) = a (x) ds + da (x) s for a suffix state s, one (..., P, d, D) array

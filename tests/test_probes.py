@@ -35,16 +35,16 @@ def random_generators(rng, d, m=2):
 
 
 class TestOrthogonalProbes:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, np.int64(3)])
     def test_computational_basis(self, d):
         probes = orthogonal_probes(d)
         assert probes.shape == (d, d)
         gram = probes.conj() @ probes.T
         assert np.max(np.abs(gram - np.eye(d))) < 1e-12
 
-    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("d", [0, 1, 2.5, 3.0, "3"])
     def test_out_of_range_rejected(self, d):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^d must be in \[2, inf\) and an integer"):
             orthogonal_probes(d)
 
     def test_d7_builds_but_its_dense_family_is_refused(self):
@@ -398,6 +398,13 @@ class TestGeneratorUnitary:
         assert np.max(np.abs(g - g.conj().T)) > 1e-12
         u, _ = generator_unitary([g, np.zeros((4, 4))])(np.array([1e-5, 0.3]))
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # a NaN or inf diagonal entry makes g - g† NaN there, which no tolerance accepts
+        g = np.diag([bad, -1.0]).astype(complex)
+        with pytest.raises(ValueError, match="generator 0 is not Hermitian"):
+            generator_unitary([g, np.eye(2)])
 
     def test_tiny_non_hermitian_rejected(self):
         rng = np.random.default_rng(0)

@@ -286,7 +286,7 @@ class TestRightFold:
     @pytest.mark.parametrize("chunk", [3, 40, loem.quantum._CHUNK])
     @pytest.mark.parametrize("case", FOLD_CASES.values(), ids=FOLD_CASES.keys())
     def test_matches_left_fold_oracle(self, monkeypatch, case, chunk):
-        # chunk 3 and 40 slice every Jacobian step of these small families, by batch entry and by row
+        # chunk 3 slices every Jacobian step of these small families, by batch entry and by row; 40 the larger ones
         monkeypatch.setattr(loem.quantum, "_CHUNK", chunk)
         unitary_family, probes = case
         family = loem_family(unitary_family, 2, probes)
@@ -302,6 +302,22 @@ class TestRightFold:
                 else:
                     assert got.shape == want.shape
                     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_one_operation_step_equals_sliced_step(self, monkeypatch, d):
+        # a step with at most _CHUNK output amplitudes adds its outer product in one operation, a larger one in slices
+        unitary_family = generator_rotation(d, 82 + d)
+        rng = np.random.default_rng(82)
+        chunks = (3, 40, loem.quantum._CHUNK)
+        for x in (rng.uniform(-2.0, 2.0, size=2), rng.uniform(-2.0, 2.0, size=(3, 2))):
+            results = []
+            for chunk in chunks:
+                monkeypatch.setattr(loem.quantum, "_CHUNK", chunk)
+                family = loem_family(unitary_family, 2, np.eye(d))
+                results.append((family.evaluate(x), derivatives(family, x)))
+            for state, jac in results[1:]:
+                assert same_bits(state, results[0][0])
+                assert same_bits(jac, results[0][1])
 
     def test_two_factor_batch_across_slices_is_bit_equal(self):
         # 5000 antiparallel points are three batch slices of the default chunk
