@@ -9,7 +9,7 @@ operation here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "check_unitary",
     "check_probabilities",
     "qubit_rotation",
-    "tensor_product",
     "StateFamily",
     "derivatives",
     "loem_family",
@@ -83,16 +82,6 @@ def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out[..., 1, 0, 1], out[..., 1, 1, 0] = -0.5 * c / phase, 0.5 * phase * c
     out[..., 2, 0, 1], out[..., 2, 1, 0] = 1j * s / phase, 1j * phase * s  # 1j * U * [[0, -1], [1, 0]], entrywise
     return out[..., 0, :, :], out[..., 1:, :, :]
-
-
-def tensor_product(states: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of state vectors (..., d_k), first factor most significant, folded from the last."""
-    if len(states) == 0:
-        raise ValueError("tensor_product requires at least one state")
-    out = np.asarray(states[-1], dtype=complex)
-    for state in states[-2::-1]:
-        out = _kron(np.asarray(state, dtype=complex), out)
-    return out
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,6 +161,8 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
         """dU, factors U|p_k> and suffixes[i] = factors[i+1] (x) ... (x) factors[K-1] at points x."""
         nonlocal last
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape[-1] != n_params:
+            raise ValueError(f"expected {n_params} parameters, got shape {x.shape}")
         key = (x.shape, x.tobytes())
         last_key, value = last
         if last_key == key:

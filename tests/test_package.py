@@ -28,7 +28,8 @@ def test_every_public_name_is_the_defining_module_object():
 @pytest.mark.parametrize(
     "name",
     ["crb_bound", "SingularBoundError", "check_state", "Estimate", "mle_closed_form", "loem_state"]
-    + ["sample_counts", "mle_grid", "sld_pure", "phase_shifted_family", "antiparallel_state", "qubit_unitary"],
+    + ["sample_counts", "mle_grid", "sld_pure", "phase_shifted_family", "antiparallel_state", "qubit_unitary"]
+    + ["tensor_product"],
 )
 def test_deleted_name_absent(name):
     assert not hasattr(loem, name)

@@ -1,4 +1,4 @@
-"""Tests for states, unitaries, tensor products, and family derivatives."""
+"""Tests for states, unitaries, and family derivatives."""
 
 import dataclasses
 import tracemalloc
@@ -21,18 +21,8 @@ from loem import (
     qfim_pure,
     qubit_family,
     qubit_rotation,
-    tensor_product,
 )
 from oracles import central_difference, left_fold_jacobian, left_fold_state, numeric_family, numeric_jacobian
-
-
-def brute_force_kron(a, b):
-    """Independent oracle: explicit double loop over the composite index."""
-    out = np.zeros(len(a) * len(b), dtype=complex)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i * len(b) + j] = ai * bj
-    return out
 
 
 class TestQubitUnitary:
@@ -72,40 +62,6 @@ class TestQubitUnitary:
             for listed, arrayed in zip(qubit_rotation(points), qubit_rotation(np.array(points))):
                 assert listed.dtype == arrayed.dtype and listed.tobytes() == arrayed.tobytes()
         assert qubit_rotation(np.array([0.1, 0.2], dtype=np.float32))[0].dtype == np.complex64
-
-
-class TestTensorProduct:
-    def test_basis_states(self):
-        out = tensor_product([np.array([1, 0]), np.array([0, 1])])
-        assert np.array_equal(out, np.array([0, 1, 0, 0], dtype=complex))
-
-    def test_superposition_with_basis_state(self):
-        r = 1 / np.sqrt(2)
-        out = tensor_product([np.array([r, r]), np.array([1, 0])])
-        assert np.allclose(out, [r, 0, r, 0])
-
-    def test_matches_brute_force_outer_product(self):
-        rng = np.random.default_rng(5)
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi /= np.linalg.norm(psi)
-        a, b = psi
-        expected = brute_force_kron(psi, psi)
-        out = tensor_product([psi, psi])
-        assert np.allclose(out, expected, atol=1e-15)
-        assert np.allclose(out, [a * a, a * b, b * a, b * b], atol=1e-15)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(6)
-        vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in (2, 3, 2)]
-        vecs = [v / np.linalg.norm(v) for v in vecs]
-        a, b, c = vecs
-        flat = tensor_product([a, b, c])
-        for nested in (tensor_product([a, tensor_product([b, c])]), tensor_product([tensor_product([a, b]), c])):
-            assert np.max(np.abs(nested - flat)) < 1e-14
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            tensor_product([])
 
 
 class TestDerivatives:
@@ -194,6 +150,27 @@ class TestLoemFamily:
     def test_probes_not_a_nonempty_matrix_rejected(self, probes):
         with pytest.raises(ValueError, match="non-empty"):
             loem_family(qubit_rotation, 2, probes)
+
+    def test_first_factor_is_most_significant(self):
+        # U(0) = I on the probes |0>, |1>: the state |0> (x) |1> has its one amplitude at index 0 * 2 + 1
+        state = loem_family(qubit_rotation, 2, [[1, 0], [0, 1]]).evaluate([0.0, 0.0])
+        assert np.array_equal(state, [0, 1, 0, 0])
+
+    @pytest.mark.parametrize(
+        "x", [[0.3], [0.3, 0.4, 0.5], [[0.3], [0.4]], [[0.3, 0.4, 0.5]] * 2], ids=["1", "3", "batch-1", "batch-3"]
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: loem_family(generator_rotation(3, 89), 2, np.eye(3)), qubit_family, lambda: antiparallel_family(2)],
+        ids=["generator-d3", "qubit", "antiparallel-N2"],
+    )
+    def test_wrong_parameter_count_rejected_by_evaluate_and_derivatives(self, make, x):
+        # evaluate once built (0.3, 0.3) from [0.3] on a generator family, or ignored a third value
+        family = make()
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            family.evaluate(np.array(x))
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            derivatives(family, np.array(x))
 
     def test_qubit_family_is_column_zero_of_the_rotation(self):
         angles = [0.0, np.pi, -np.pi, -0.7, 2.3, 1e6]
@@ -449,7 +426,12 @@ class TestPointMemo:
         fresh = loem_family(qubit_rotation, 2, np.eye(2))
         good = np.array([0.4, 0.7])
         state = family.evaluate(good)
-        for bad, match in ((np.array([6.0, 0.0]), "not unitary"), (np.array([-6.0, 0.0]), "probe dimension")):
+        refused = [
+            (np.array([6.0, 0.0]), "not unitary"),
+            (np.array([-6.0, 0.0]), "probe dimension"),
+            (np.array([0.3, 0.4, 0.5]), "expected 2 parameters"),  # refused before the unitary family is called
+        ]
+        for bad, match in refused:
             with pytest.raises(ValueError, match=match):
                 family.evaluate(bad)
             assert same_bits(derivatives(family, good), derivatives(fresh, good))
