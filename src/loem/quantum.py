@@ -74,6 +74,8 @@ def qubit_rotation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from one cos, sin and exp of the angles.
     """
     x = np.asarray(x)  # no dtype: a float32 batch keeps complex64 output
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"qubit_rotation takes points (theta, phi) with a last axis of 2, got shape {x.shape}")
     c, s, phase = np.cos(0.5 * x[..., 0]), np.sin(0.5 * x[..., 0]), np.exp(1j * x[..., 1])
     out = np.zeros(x.shape[:-1] + (3, 2, 2), dtype=np.result_type(c, phase))  # U, dU/dtheta, dU/dphi
     out[..., 0, 0, 0] = out[..., 0, 1, 1] = c
@@ -141,6 +143,7 @@ def derivatives(family: StateFamily, x: np.ndarray) -> np.ndarray:
 def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray) -> StateFamily:
     """Family x -> tensor product of U(x)|p_k> over the unit-vector rows of probes (K, d), first most significant.
 
+    dU must have shape (..., n_params, d, d), which is checked at each new point.
     U must be a deterministic function of x, as StateFamily requires of evaluate: the family keeps
     the last points' dU, factor states U|p_k> and suffix products U|p_{k+1}> (x) ... (x) U|p_K>,
     so evaluate followed by derivatives at the same points calls the unitary family once.  Per point
@@ -171,6 +174,11 @@ def loem_family(unitary_family: UnitaryFamily, n_params: int, probes: np.ndarray
         u = check_unitary(u)
         if u.shape[-2:] != (d, d):
             raise ValueError(f"unitary shape {u.shape[-2:]} does not match probe dimension {d}")
+        expected = x.shape[:-1] + (n_params, d, d)
+        if np.shape(du) != expected:
+            raise ValueError(
+                f"n_params = {n_params}, but the unitary family gives dU of shape {np.shape(du)}, expected {expected}"
+            )
         factors = [u @ probe for probe in probes]
         suffixes = factors[1:]
         for i in range(k - 3, -1, -1):

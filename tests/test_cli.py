@@ -30,6 +30,7 @@ from loem.cli import (
     SURFACE_COLUMNS,
     UsageError,
     _CHUNK,
+    _float_texts,
     _write_table,
     main,
     parse_args,
@@ -624,15 +625,41 @@ class TestTableWriter:
         written = written_table(["a", "n", "b", "f"], table, fmt)
         assert written.splitlines(True) == reference_table(["a", "n", "b", "f"], rows, fmt).splitlines(True)
 
-    def test_one_repr_per_pattern_not_in_the_chunk_before(self, monkeypatch):
-        calls = []
+    def test_one_format_per_pattern_not_in_the_chunk_before(self, monkeypatch):
+        formatted, reprs = [], []
         monkeypatch.setattr(loem.cli, "_CHUNK", 4)
-        monkeypatch.setattr(loem.cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
-        # The second chunk's patterns other than 5.0 are all in the first chunk, in either column.
-        table = [np.array([1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 1.0, 1.0])]
+        monkeypatch.setattr(loem.cli, "_float_texts", lambda v: formatted.append(v.tolist()) or _float_texts(v))
+        monkeypatch.setattr(loem.cli, "repr", lambda v: reprs.append(v) or repr(v), raising=False)
+        # The second chunk's patterns other than 5.0 are all in the first chunk, in either column;
+        # the third chunk adds three patterns outside 1e-4 <= |x| < 1e16, which take repr.
+        table = [
+            np.array([1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0, 1e-5, 1e16, math.nan, 5.0]),
+            np.array([1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 1.0, 1.0, 5.0, 1e-5, 1e16, math.nan]),
+        ]
         rows = [list(row) for row in zip(*(column.tolist() for column in table))]
         assert written_table(["a", "b"], table, "csv") == reference_table(["a", "b"], rows, "csv")
-        assert calls == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert list(map(repr, formatted)) == ["[1.0, 2.0, 3.0, 4.0]", "[5.0]", "[1e-05, 1e+16, nan]"]
+        assert list(map(repr, reprs)) == ["1e-05", "1e+16", "nan"]
+
+    def test_float_texts_are_repr(self):
+        # orjson and repr agree in 1e-4 <= |x| < 1e16 and at +-0.0; this guards that range if orjson's notation
+        # changes.  Random bit patterns, mostly outside it, cost repr's ~2 us each on both sides, hence 5e4 of them.
+        powers = np.array([float(f"1e{k}") for k in range(-330, 311)])
+        edges = np.concatenate([powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf)])
+        special = [0.0, 5e-324, np.finfo(np.float64).max, 2.0**53 - 1, 2.0**53 + 1, math.nan, math.inf]
+        signed = np.concatenate([edges, special])
+        rng = np.random.default_rng(20181)
+        in_range = 10.0 ** rng.uniform(-4, 16, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        values = np.concatenate(
+            [
+                signed,
+                -signed,
+                rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
+                in_range[np.abs(in_range) < 1e16],
+            ]
+        )
+        assert _float_texts(values) == list(map(repr, values.tolist()))
+        assert _float_texts(np.empty(0)) == []
 
     @pytest.mark.parametrize(
         "fmt, n_columns, chunk",

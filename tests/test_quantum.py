@@ -172,6 +172,27 @@ class TestLoemFamily:
         with pytest.raises(ValueError, match="expected 2 parameters"):
             derivatives(family, np.array(x))
 
+    @pytest.mark.parametrize(
+        "x", [[0.3, 0.4, 0.5], [[0.3, 0.4, 0.5]] * 2, [0.3], [[0.3], [0.4]]], ids=["3", "batch-3", "1", "batch-1"]
+    )
+    def test_rotation_family_with_other_than_two_parameters_rejected(self, x):
+        # evaluate once ignored a third value, and raised a bare IndexError at one
+        family = loem_family(qubit_rotation, np.shape(x)[-1], np.eye(2))
+        with pytest.raises(ValueError, match="last axis of 2"):
+            family.evaluate(np.array(x))
+        with pytest.raises(ValueError, match="last axis of 2"):
+            derivatives(family, np.array(x))
+
+    @pytest.mark.parametrize("x", [[0.3, 0.4], [[0.3, 0.4]] * 2], ids=["1-D", "batch"])
+    def test_n_params_other_than_the_unitary_familys_rejected(self, x):
+        # One generator gives one dU/dx_k; evaluate once summed both values into it
+        family = loem_family(generator_unitary([np.diag([1.0, -1.0])]), 2, np.eye(2))
+        says = r"n_params = 2, but the unitary family gives dU of shape \((2, )?1, 2, 2\)"
+        with pytest.raises(ValueError, match=says):
+            family.evaluate(np.array(x))
+        with pytest.raises(ValueError, match=says):
+            derivatives(family, np.array(x))
+
     def test_qubit_family_is_column_zero_of_the_rotation(self):
         angles = [0.0, np.pi, -np.pi, -0.7, 2.3, 1e6]
         x = np.stack(np.meshgrid(angles, angles, indexing="ij"), axis=-1).reshape(4, 9, 2)
